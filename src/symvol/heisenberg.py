@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .propagation import solve_ode_rk45
+from .propagation import IntegratorSettings, _co_integrate, solve_ode_rk45
 
 __all__ = [
     "HeisenbergControl",
@@ -116,6 +116,18 @@ def tabulated_control(ts, us, vs, name="tabulated") -> HeisenbergControl:
     )
 
 
+def _moment_rates(ctrl: HeisenbergControl):
+    """(tau, (mu, nu, alpha)) -> (u, v, nu u - mu v), the flow of the origin."""
+
+    def rhs(tau, y):
+        mu, nu, _ = y
+        u = ctrl.u(tau)
+        v = ctrl.v(tau)
+        return np.array([u, v, nu * u - mu * v])
+
+    return rhs
+
+
 @dataclass(frozen=True)
 class Moments:
     """Control moments at one epoch plus the alpha consistency diagnostic."""
@@ -134,13 +146,8 @@ def moments(ctrl: HeisenbergControl, t: float, rel_tol: float = 1e-12) -> Moment
         alpha0 = float(ctrl.alpha_fn(0.0)) if ctrl.alpha_fn is not None else 0.0
         return Moments(0.0, 0.0, 0.0, alpha0, 0.0, abs(alpha0))
 
-    def rhs(tau, y):
-        mu, nu, _ = y
-        u = ctrl.u(tau)
-        v = ctrl.v(tau)
-        return np.array([u, v, nu * u - mu * v])
-
-    Y, _ = solve_ode_rk45(rhs, 0.0, np.zeros(3), np.array([0.0, t]), rel_tol=rel_tol, abs_tol=1e-14)
+    rates = _moment_rates(ctrl)
+    Y, _ = solve_ode_rk45(rates, 0.0, np.zeros(3), np.array([0.0, t]), rel_tol=rel_tol, abs_tol=1e-14)
     mu, nu, alpha_quad = (float(x) for x in Y[-1])
     if ctrl.alpha_fn is not None:
         alpha = float(ctrl.alpha_fn(t))
@@ -172,18 +179,16 @@ def heisenberg_stm_from_control(ctrl: HeisenbergControl, t: float, rel_tol: floa
 
 def heisenberg_stm_integrated(ctrl: HeisenbergControl, t: float, rel_tol: float = 1e-12) -> np.ndarray:
     """Cross-check STM: direct integration of Phi-dot = (df/dq) Phi with
-    df/dq = [[0,0,0],[0,0,0],[-v, u, 0]]."""
+    df/dq = [[0,0,0],[0,0,0],[-v, u, 0]], co-integrated with the moments."""
     if t == 0.0:
         return np.eye(3)
 
-    def rhs(tau, y):
-        Phi = y.reshape((3, 3), order="F")
-        F = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-ctrl.v(tau), ctrl.u(tau), 0.0]])
-        return (F @ Phi).flatten(order="F")
+    def jac(tau, y):
+        return np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-ctrl.v(tau), ctrl.u(tau), 0.0]])
 
-    y0 = np.eye(3).flatten(order="F")
-    Y, _ = solve_ode_rk45(rhs, 0.0, y0, np.array([0.0, t]), rel_tol=rel_tol, abs_tol=1e-14)
-    return Y[-1].reshape((3, 3), order="F")
+    settings = IntegratorSettings(rel_tol=rel_tol, abs_tol=1e-14)
+    _, stms, _ = _co_integrate(_moment_rates(ctrl), jac, np.zeros(3), np.array([0.0, t]), settings)
+    return stms[-1]
 
 
 def heisenberg_metric_g(X: float, Y: float, x: float, y: float) -> float:

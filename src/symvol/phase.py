@@ -42,6 +42,13 @@ class PhaseState:
             raise ValueError("phase coordinates must be finite")
         object.__setattr__(self, "coords", c)
 
+    @classmethod
+    def _trusted(cls, coords: np.ndarray, t: float) -> "PhaseState":
+        """Skip validation, for coords known to be a finite even-length vector."""
+        st = object.__new__(cls)
+        st.__dict__.update(coords=coords, t=t)
+        return st
+
     @property
     def n_pairs(self) -> int:
         return self.coords.size // 2

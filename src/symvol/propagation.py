@@ -1,11 +1,14 @@
 """State and state-transition-matrix propagation.
 
-The nominal state and the STM are co-integrated as one augmented first-order
-system [x | Phi columns, flattened column-major].  Two integrators are
-provided: an embedded Dormand-Prince 5(4) pair with PI step-size control for
-accuracy, and a fixed-step classical RK4 for byte-identical reproducibility.
-Symplecticity drift of the STM is measured at every sample and recorded,
-never corrected.
+One kernel, _co_integrate, co-integrates a state x' = f(t, x) with its STM,
+Phi' = Df(t, x) Phi, as a single augmented first-order system
+[x | Phi columns, flattened column-major].  Every STM in the package comes
+from it: propagate (f = J grad H, Df = J Hess H, with J applied as a
+swap-and-negate of the interleaved pairs), and the Heisenberg and
+rolling-disc cross-check STMs.  Two integrators are provided: an embedded
+Dormand-Prince 5(4) pair with PI step-size control for accuracy, and a
+fixed-step classical RK4 for byte-identical reproducibility.  Symplecticity
+drift of the STM is measured at every sample and recorded, never corrected.
 """
 from __future__ import annotations
 
@@ -16,8 +19,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .phase import PhaseState, structure_matrix, symplecticity_residual
-from .systems import HamiltonianSystem, variational_rhs
+from .phase import PhaseState, symplecticity_residual
+from .systems import HamiltonianSystem, variational_rhs, vector_field
 
 __all__ = [
     "IntegrationError",
@@ -146,14 +149,14 @@ def solve_ode_rk45(
             yi = y + hs * (_A[i] @ k[:i])
             ki = np.asarray(f(t + _C[i] * hs, yi), dtype=float)
             n_rhs += 1
-            if not np.all(np.isfinite(ki)):
+            if not np.isfinite(ki).all():
                 ok = False
                 break
             k[i] = ki
         if ok:
             y_new = y + hs * (_B5 @ k)  # k[6] is already f(t+h, y_new): FSAL
             err_vec = hs * (_ERR @ k)
-            finite = np.all(np.isfinite(y_new))
+            finite = np.isfinite(y_new).all()
             err = _error_norm(err_vec, y, y_new, rel_tol, abs_tol) if finite else math.inf
         else:
             err = math.inf
@@ -227,7 +230,7 @@ def solve_ode_rk4(
             t += h
             n_rhs += 4
         total_sub += m
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise IntegrationError(f"solution not finite at t = {tb}")
         out[i] = y
     stats = {"steps": total_sub, "rejected": 0, "rhs_evals": n_rhs}
@@ -258,6 +261,50 @@ class IntegratorSettings:
             raise ValueError("tolerances must be positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+
+
+def _augmented_rhs(f, jac, d: int):
+    """RHS of y = [x | Phi flattened column-major] for x' = f(t, x) and
+    Phi' = jac(t, x) Phi.
+
+    y[d:] read row-major is Phi^T, so the variational term is written in
+    place as Phi^T jac^T.  A non-finite x gets a NaN derivative, which the
+    integrators reject.
+    """
+
+    def rhs(t, y):
+        x = y[:d]
+        if not np.isfinite(x).all():
+            return np.full(y.size, np.nan)
+        dy = np.empty(y.size)
+        dy[:d] = f(t, x)
+        np.dot(y[d:].reshape(d, d), jac(t, x).T, out=dy[d:].reshape(d, d))
+        return dy
+
+    return rhs
+
+
+def _co_integrate(f, jac, x0, t_eval, settings: IntegratorSettings):
+    """Integrate x' = f(t, x) and its STM, Phi' = jac(t, x) Phi, from Phi = I.
+
+    Returns the states (m, d) and STMs (m, d, d) at the t_eval nodes, and
+    the raw integrator counters.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    d = x0.size
+    rhs = _augmented_rhs(f, jac, d)
+    y0 = np.concatenate([x0, np.eye(d).ravel()])
+    if settings.method == "rk45":
+        Y, raw = solve_ode_rk45(
+            rhs, t_eval[0], y0, t_eval,
+            rel_tol=settings.rel_tol, abs_tol=settings.abs_tol,
+            max_step=settings.max_step, max_steps=settings.max_steps,
+        )
+    else:
+        Y, raw = solve_ode_rk4(rhs, t_eval[0], y0, t_eval, n_steps=settings.n_steps)
+    if not np.isfinite(Y).all():
+        raise IntegrationError("propagation produced non-finite samples")
+    return Y[:, :d], Y[:, d:].reshape(-1, d, d).transpose(0, 2, 1).copy(), raw
 
 
 @dataclass(frozen=True)
@@ -329,6 +376,30 @@ class Trajectory:
         return float(np.max(self.residuals))
 
 
+def _hamiltonian_field(sys: HamiltonianSystem):
+    """(f, jac) = (J grad H, J Hess H) as raw-array callables for the kernel.
+
+    J acts as swap-and-negate of the interleaved pairs, (J v)[2i] = -v[2i+1]
+    and (J v)[2i+1] = v[2i]; the rows of a matrix are swapped by one flat
+    take.  The kernel has checked x finite and the integrator fixes its
+    length, so the states handed to grad_H/hess_H skip validation.  Both are
+    read from this instance.
+    """
+    dim = sys.dim
+    perm = np.arange(dim) ^ 1
+    sign = np.tile([-1.0, 1.0], sys.n_pairs)
+    rows, row_sign = (dim * perm[:, None] + np.arange(dim)).ravel(), np.repeat(sign, dim)
+    grad_H, hessian, trusted = sys.grad_H, sys.hessian, PhaseState._trusted
+
+    def f(t, x):
+        return sign * np.asarray(grad_H(trusted(x, t)), dtype=float)[perm]
+
+    def jac(t, x):
+        return (hessian(trusted(x, t)).take(rows) * row_sign).reshape(dim, dim)
+
+    return f, jac
+
+
 def propagate(
     sys: HamiltonianSystem,
     x0,
@@ -369,41 +440,14 @@ def propagate(
         if t_eval[0] != t0 or abs(t_eval[-1] - t1) > 1e-12 * max(1.0, abs(t1)):
             raise ValueError("t_eval must run from t0 to t1")
 
-    dim = sys.dim
-    J = structure_matrix(sys.n_pairs)
-    # symmetry diagnostic once up front (variational_rhs warns if broken)
-    variational_rhs(sys, state0, np.eye(dim))
+    # one-off checks the hot path cannot make: a permuted gradient would drop
+    # surplus entries silently; the Hessian must be square and symmetric
+    vector_field(sys, state0)
+    variational_rhs(sys, state0, np.eye(sys.dim))
 
-    def rhs(t, y):
-        x = y[:dim]
-        if not np.all(np.isfinite(x)):
-            return np.full(y.size, np.nan)
-        st = PhaseState(x, t)
-        g = np.asarray(sys.grad_H(st), dtype=float)
-        Phi = y[dim:].reshape((dim, dim), order="F")
-        H = sys.hessian(st)
-        dPhi = J @ (H @ Phi)
-        return np.concatenate([J @ g, dPhi.flatten(order="F")])
-
-    y0 = np.concatenate([state0.coords, np.eye(dim).flatten(order="F")])
-    if settings.method == "rk45":
-        Y, raw = solve_ode_rk45(
-            rhs, t0, y0, t_eval,
-            rel_tol=settings.rel_tol, abs_tol=settings.abs_tol,
-            max_step=settings.max_step, max_steps=settings.max_steps,
-        )
-    else:
-        Y, raw = solve_ode_rk4(rhs, t0, y0, t_eval, n_steps=settings.n_steps)
-    if not np.all(np.isfinite(Y)):
-        raise IntegrationError("propagation produced non-finite samples")
-
+    states, stms, raw = _co_integrate(*_hamiltonian_field(sys), state0.coords, t_eval, settings)
     m = t_eval.size
-    states = Y[:, :dim]
-    stms = np.empty((m, dim, dim))
-    residuals = np.empty(m)
-    for i in range(m):
-        stms[i] = Y[i, dim:].reshape((dim, dim), order="F")
-        residuals[i] = symplecticity_residual(stms[i])
+    residuals = np.array([symplecticity_residual(M) for M in stms])
 
     if sys.hamiltonian is not None:
         e0 = float(sys.hamiltonian(state0))

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .propagation import IntegrationError, solve_ode_rk45
+from .propagation import IntegrationError, IntegratorSettings, _co_integrate, solve_ode_rk45
 
 __all__ = [
     "DiscSingularityError",
@@ -255,19 +255,17 @@ def disc_stm_integrated(
     if t_eval is None:
         t_eval = np.linspace(t0, t1, 11)
     t_eval = np.asarray(t_eval, dtype=float)
+    if t_eval[0] != t0:
+        raise ValueError("t_eval must start at t0")
 
-    def rhs(t, y):
-        q = y[:5]
-        _guard_theta(q[3], t)
-        u, v, w = ctrl(t, q)
-        Phi = y[5:].reshape((5, 5), order="F")
-        M = _coefficient_matrix(q, u, w)
-        dq = disc_rhs(t, q, ctrl)
-        return np.concatenate([dq, (M @ Phi).flatten(order="F")])
+    def jac(t, q):
+        u, _, w = ctrl(t, q)
+        return _coefficient_matrix(q, u, w)
 
-    y0 = np.concatenate([q0, np.eye(5).flatten(order="F")])
-    Y, _ = solve_ode_rk45(rhs, t0, y0, t_eval, rel_tol=rel_tol, abs_tol=abs_tol)
-    stms = np.array([Y[i, 5:].reshape((5, 5), order="F") for i in range(t_eval.size)])
+    _, stms, _ = _co_integrate(
+        lambda t, q: disc_rhs(t, q, ctrl), jac, q0, t_eval,
+        IntegratorSettings(rel_tol=rel_tol, abs_tol=abs_tol),
+    )
     return t_eval, stms
 
 

@@ -72,17 +72,15 @@ class HamiltonianSystem:
     def _fd_hessian(self, state: PhaseState) -> np.ndarray:
         x = state.coords
         m = x.size
-        H = np.empty((m, m))
-        for j in range(m):
-            h = _FD_STEP * max(1.0, abs(x[j]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[j] += h
-            xm[j] -= h
-            gp = np.asarray(self.grad_H(PhaseState(xp, state.t)), dtype=float)
-            gm = np.asarray(self.grad_H(PhaseState(xm, state.t)), dtype=float)
-            H[:, j] = (gp - gm) / (2.0 * h)
-        return H
+        steps = _FD_STEP * np.maximum(1.0, np.abs(x))
+        probes = np.tile(x, (2 * m, 1))  # rows x + h_j e_j, x - h_j e_j
+        cols = np.arange(m)
+        probes[2 * cols, cols] += steps
+        probes[2 * cols + 1, cols] -= steps
+        if not np.isfinite(probes).all():
+            raise ValueError("finite-difference probe points must be finite")
+        g = np.array([self.grad_H(PhaseState._trusted(p, state.t)) for p in probes], dtype=float)
+        return (g[0::2] - g[1::2]).T / (2.0 * steps)
 
 
 def vector_field(sys: HamiltonianSystem, state: PhaseState) -> np.ndarray:
@@ -106,6 +104,11 @@ def variational_rhs(sys: HamiltonianSystem, state: PhaseState, Phi: np.ndarray) 
     if Phi.shape != (sys.dim, sys.dim):
         raise ValueError(f"Phi must be {sys.dim} x {sys.dim}")
     H = sys.hessian(state)
+    if H.shape != (sys.dim, sys.dim):
+        raise ValueError(
+            f"hess_H returned shape {H.shape}, expected ({sys.dim}, {sys.dim}) "
+            f"for system {sys.name!r}"
+        )
     asym = np.max(np.abs(H - H.T))
     if asym > 1e-6 * max(1.0, np.max(np.abs(H))):
         warnings.warn(
@@ -122,11 +125,14 @@ def variational_rhs(sys: HamiltonianSystem, state: PhaseState, Phi: np.ndarray) 
 
 def _harmonic() -> HamiltonianSystem:
     # H = (p^2 + q^2)/2; the flow is a rigid rotation of the (p, q) plane
+    H = np.eye(2)
+    H.setflags(write=False)
+
     def grad(s):
         return s.coords.copy()
 
     def hess(s):
-        return np.eye(2)
+        return H
 
     def stm(t, s0):
         c, sn = np.cos(t), np.sin(t)
@@ -142,8 +148,9 @@ def _harmonic() -> HamiltonianSystem:
 def _pendulum() -> HamiltonianSystem:
     # H = p^2/2 - cos q
     def grad(s):
-        p, q = s.coords
-        return np.array([p, np.sin(q)])
+        g = s.coords.copy()
+        g[1] = np.sin(g[1])
+        return g
 
     def hess(s):
         q = s.coords[1]
@@ -160,13 +167,17 @@ def _coupled(epsilon: float = 0.25) -> HamiltonianSystem:
     # two unit oscillators with a bilinear q1 q2 coupling
     eps = float(epsilon)
 
+    H = np.eye(4)
+    H[1, 3] = H[3, 1] = eps
+    H.setflags(write=False)
+
     def grad(s):
-        p1, q1, p2, q2 = s.coords
-        return np.array([p1, q1 + eps * q2, p2, q2 + eps * q1])
+        c = s.coords
+        g = c.copy()
+        g[1::2] += eps * c[3::-2]  # (q1, q2) += eps (q2, q1)
+        return g
 
     def hess(s):
-        H = np.eye(4)
-        H[1, 3] = H[3, 1] = eps
         return H
 
     def ham(s):

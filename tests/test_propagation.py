@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from symvol import (
@@ -13,8 +16,10 @@ from symvol import (
     builtin_system,
     propagate,
     structure_matrix,
+    variational_rhs,
+    vector_field,
 )
-from symvol.propagation import solve_ode_rk4, solve_ode_rk45
+from symvol.propagation import _augmented_rhs, _hamiltonian_field, solve_ode_rk4, solve_ode_rk45
 from symvol.systems import HamiltonianSystem
 from conftest import PENDULUM_X10
 
@@ -52,6 +57,23 @@ class TestSolveOdeRk45:
 
         with pytest.raises(IntegrationError):
             solve_ode_rk45(bad, 0.0, np.array([0.0]), np.array([0.0, 2.0]))
+
+    def test_nonfinite_stage_rejected_then_recovers(self):
+        # a single NaN trial stage rejects that step (h shrinks by 0.2); the
+        # run then carries on to the accurate solution
+        nan_times = []
+
+        def flaky(t, y):
+            if t > 0.5 and not nan_times:
+                nan_times.append(t)
+                return np.array([math.nan])
+            return -y
+
+        ts = np.array([0.0, 1.0, 2.0])
+        ys, stats = solve_ode_rk45(flaky, 0.0, np.array([1.0]), ts)
+        assert len(nan_times) == 1
+        assert stats["rejected"] >= 1
+        assert np.allclose(ys[:, 0], np.exp(-ts), atol=1e-10)
 
 
 class TestSolveOdeRk4:
@@ -162,6 +184,21 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(sys, [0.0, 0.1], (0.0, 1.0), samples=1)
 
+    def test_wrong_gradient_length_raises(self):
+        # the hot path permutes the gradient, which would drop a surplus entry
+        sys = HamiltonianSystem(
+            n_pairs=2, grad_H=lambda s: np.ones(5), hess_H=lambda s: np.eye(4), name="long"
+        )
+        with pytest.raises(ValueError, match="grad_H returned shape"):
+            propagate(sys, [0.1, 0.2, 0.3, 0.4], (0.0, 1.0))
+
+    def test_wrong_hessian_shape_raises(self):
+        sys = HamiltonianSystem(
+            n_pairs=1, grad_H=lambda s: s.coords, hess_H=lambda s: np.eye(3), name="wide"
+        )
+        with pytest.raises(ValueError, match="hess_H returned shape"):
+            propagate(sys, [0.1, 0.2], (0.0, 1.0))
+
     def test_dimension_mismatch(self):
         sys = builtin_system("coupled_oscillators")
         with pytest.raises(ValueError, match="pairs"):
@@ -195,3 +232,49 @@ class TestTrajectoryValidation:
                 np.zeros(3),
                 None,
             )
+
+
+def _kernel_rhs(sys, x, Phi):
+    """(x-dot, Phi-dot) from the propagate kernel's augmented RHS."""
+    d = sys.dim
+    dy = _augmented_rhs(*_hamiltonian_field(sys), d)(0.0, np.concatenate([x, Phi.ravel(order="F")]))
+    return dy[:d], dy[d:].reshape((d, d), order="F")
+
+
+def _state_and_stm(data, dim):
+    x = data.draw(arrays(float, dim, elements=st.floats(-10.0, 10.0)))
+    Phi = data.draw(arrays(float, (dim, dim), elements=st.floats(-10.0, 10.0)))
+    return x, Phi
+
+
+class TestKernelMatchesReference:
+    """The propagate kernel (swap-and-negate J, unvalidated states, in-place
+    variational term) against vector_field / variational_rhs."""
+
+    @pytest.mark.parametrize("name", ["harmonic_oscillator", "pendulum", "coupled_oscillators"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_builtins_exact(self, name, data):
+        sys = builtin_system(name)
+        x, Phi = _state_and_stm(data, sys.dim)
+        dx, dPhi = _kernel_rhs(sys, x, Phi)
+        s = PhaseState(x)
+        assert np.array_equal(dx, vector_field(sys, s))
+        assert np.array_equal(dPhi, variational_rhs(sys, s, Phi))
+
+    @pytest.mark.parametrize("name", ["pendulum", "coupled_oscillators"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_fd_hessian_system_close(self, name, data):
+        full = builtin_system(name)
+        fd = HamiltonianSystem(n_pairs=full.n_pairs, grad_H=full.grad_H, name=f"{name}-fd")
+        x, Phi = _state_and_stm(data, full.dim)
+        dx, dPhi = _kernel_rhs(fd, x, Phi)
+        s = PhaseState(x)
+        assert np.array_equal(dx, vector_field(full, s))
+        assert np.max(np.abs(dPhi - variational_rhs(full, s, Phi))) <= 1e-7
+
+    def test_nonfinite_state_gives_nan_derivative(self):
+        sys = builtin_system("pendulum")
+        dx, dPhi = _kernel_rhs(sys, np.array([math.inf, 0.0]), np.eye(2))
+        assert np.isnan(dx).all() and np.isnan(dPhi).all()

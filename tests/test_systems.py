@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from symvol import (
     HamiltonianSystem,
@@ -107,3 +110,48 @@ class TestVariationalRhs:
         )
         with pytest.warns(RuntimeWarning, match="symmetric"):
             variational_rhs(bad, PhaseState([1.0, 1.0]), np.eye(2))
+
+
+class TestArrayNativeCatalog:
+    """The catalog's array forms against the scalar formulas they replaced."""
+
+    @given(arrays(float, 4, elements=st.floats(-1e3, 1e3)), st.floats(-2.0, 2.0))
+    def test_coupled_gradient_bitwise(self, c, eps):
+        p1, q1, p2, q2 = c
+        expected = np.array([p1, q1 + eps * q2, p2, q2 + eps * q1])
+        g = builtin_system("coupled_oscillators", epsilon=eps).grad_H(PhaseState(c))
+        assert g.tobytes() == expected.tobytes()
+
+    @given(arrays(float, 2, elements=st.floats(-1e3, 1e3)))
+    def test_pendulum_gradient_bitwise(self, c):
+        p, q = c
+        g = builtin_system("pendulum").grad_H(PhaseState(c))
+        assert g.tobytes() == np.array([p, np.sin(q)]).tobytes()
+
+    @pytest.mark.parametrize("name", ["harmonic_oscillator", "coupled_oscillators"])
+    def test_constant_hessian_shared_and_read_only(self, name):
+        sys = builtin_system(name)
+        H = sys.hessian(PhaseState(np.zeros(sys.dim)))
+        assert sys.hessian(PhaseState(np.ones(sys.dim))) is H
+        with pytest.raises(ValueError):
+            H[0, 0] = 2.0
+
+    def test_fd_hessian_matches_probe_loop(self, rng):
+        full = builtin_system("coupled_oscillators", epsilon=0.3)
+        fd = HamiltonianSystem(n_pairs=2, grad_H=lambda s: np.sin(full.grad_H(s)), name="fd")
+        x = rng.normal(size=4) * 3.0
+        step = float(np.finfo(float).eps) ** (1.0 / 3.0)
+        expected = np.empty((4, 4))
+        for j in range(4):
+            h = step * max(1.0, abs(x[j]))
+            xp, xm = x.copy(), x.copy()
+            xp[j] += h
+            xm[j] -= h
+            expected[:, j] = (fd.grad_H(PhaseState(xp)) - fd.grad_H(PhaseState(xm))) / (2.0 * h)
+        assert np.array_equal(fd.hessian(PhaseState(x)), expected)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_fd_hessian_rejects_nonfinite_probe(self):
+        fd = HamiltonianSystem(n_pairs=1, grad_H=lambda s: s.coords, name="fd")
+        with pytest.raises(ValueError, match="probe"):
+            fd.hessian(PhaseState([np.finfo(float).max, 0.0]))
