@@ -48,6 +48,7 @@ from .eigenskeleton import (
 from .surfaces import (
     CausticError,
     SurfaceParam,
+    linear_surface,
     lamina,
     pair_block_surface,
     linear_graph_surface,

@@ -120,6 +120,16 @@ def poisson_bracket(Phi, a: int, b: int) -> float:
     return float(np.dot(ra[0::2], rb[1::2]) - np.dot(ra[1::2], rb[0::2]))
 
 
+def _poincare_cartan_sums(V: np.ndarray) -> np.ndarray:
+    """(1/k!) omega^k of each (..., 2n, 2k) frame of a stack, shape (...)."""
+    n, k = V.shape[-2] // 2, V.shape[-1] // 2
+    total = 0.0
+    for S in combinations(range(n), k):
+        rows = np.array([r for i in S for r in (2 * i, 2 * i + 1)])
+        total = total + np.linalg.det(V.take(rows, axis=-2))
+    return total
+
+
 def poincare_cartan_sum(vs) -> float:
     """(1/k!) omega^k evaluated on the 2k column vectors.
 
@@ -129,15 +139,10 @@ def poincare_cartan_sum(vs) -> float:
     under symplectic maps of the columns.
     """
     V = _as_vector_set(vs)
-    n = V.shape[0] // 2
-    k = V.shape[1] // 2
+    n, k = V.shape[0] // 2, V.shape[1] // 2
     if k > n:
         raise ValueError(f"k = {k} exceeds the number of pairs n = {n}")
-    total = 0.0
-    for S in combinations(range(n), k):
-        rows = np.array([r for i in S for r in (2 * i, 2 * i + 1)])
-        total += np.linalg.det(V[rows, :])
-    return float(total)
+    return float(_poincare_cartan_sums(V))
 
 
 def poincare_cartan_unsigned(vs) -> float:
@@ -145,16 +150,20 @@ def poincare_cartan_unsigned(vs) -> float:
     return abs(poincare_cartan_sum(vs))
 
 
+def _volumes(V: np.ndarray) -> np.ndarray:
+    """sqrt Gram of each (..., 2n, 2k) frame of a stack, shape (...): the
+    product of its singular values, 0 where the frame is rank-deficient."""
+    sv = np.linalg.svd(V, compute_uv=False)
+    full_rank = sv[..., -1] > max(V.shape[-2:]) * np.finfo(float).eps * sv[..., 0]
+    return sv.prod(axis=-1) * full_rank
+
+
 def volume_2k(vs) -> float:
     """Unoriented 2k-volume of the parallelepiped spanned by the columns,
     sqrt of the Gram determinant.  Computed as the product of singular
     values, which gives the same value without squaring the conditioning
     through the Gram matrix.  Rank-deficient sets give 0."""
-    V = _as_vector_set(vs)
-    sv = np.linalg.svd(V, compute_uv=False)
-    if sv[-1] <= max(V.shape) * np.finfo(float).eps * sv[0]:
-        return 0.0
-    return float(np.prod(sv))
+    return float(_volumes(_as_vector_set(vs)))
 
 
 @dataclass(frozen=True)

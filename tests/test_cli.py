@@ -338,6 +338,25 @@ class TestSurface:
         assert code == 2
         assert "does not match" in capsys.readouterr().err
 
+    def test_pair_out_of_range_is_a_config_error(self, tmp_path, capsys):
+        code, _ = run(
+            tmp_path,
+            "surface",
+            {"surface": {"type": "lamina", "pair": 5, "n_pairs": 3}},
+        )
+        assert code == 2
+        assert "surface.pair 5 out of range for 3 pairs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("anchor", [[7.0], [1.0, 2.0, 3.0]])
+    def test_anchor_of_wrong_length_is_a_config_error(self, tmp_path, capsys, anchor):
+        code, _ = run(
+            tmp_path,
+            "surface",
+            {"surface": {"type": "lamina", "pair": 1, "n_pairs": 2, "anchor": anchor}},
+        )
+        assert code == 2
+        assert "anchor must have shape (4,)" in capsys.readouterr().err
+
     def test_linear_graph_needs_coeffs(self, tmp_path, capsys):
         code, _ = run(
             tmp_path,

@@ -1,7 +1,11 @@
 import math
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symvol import (
     CausticError,
@@ -9,11 +13,14 @@ from symvol import (
     density_map,
     lamina,
     linear_graph_surface,
+    linear_surface,
     mapped_area_factor,
     builtin_system,
     pair_block_surface,
     pair_projection,
+    pair_stack,
     parasymplectic_residual,
+    poincare_cartan_sum,
     propagate,
     pullback_density,
     random_symplectic,
@@ -243,3 +250,153 @@ class TestPairBlock:
     def test_signed_integral_matches_volume(self):
         s = pair_block_surface((1, 2), 2, cells=(3, 3, 3, 3))
         assert signed_shadow_integral(s) == pytest.approx(16.0)
+
+
+class TestLinearSurface:
+    def test_arbitrary_frame(self, rng):
+        L = rng.uniform(-1.0, 1.0, size=(6, 4))
+        anchor = rng.uniform(-1.0, 1.0, size=6)
+        s = linear_surface(L, ((-1.0, 1.0),) * 4, (2, 2, 2, 2), anchor=anchor, name="tilted")
+        assert (s.k, s.n_pairs, s.name) == (2, 3, "tilted")
+        u = np.array([0.3, -0.2, 0.5, 0.1])
+        assert np.array_equal(s.embed(u), anchor + L @ u)
+        assert np.array_equal(s.jacobian(u), L)
+        assert abs(poincare_cartan_sum(L) - 1.0) > 1e-12
+        assert not s.parasymplectic
+
+    def test_symplectic_image_of_a_pair_block_is_parasymplectic(self, rng):
+        L = random_symplectic(3, rng) @ pair_stack([1, 3], 3)
+        s = linear_surface(L, ((-1.0, 1.0),) * 4, (2, 2, 2, 2))
+        assert s.parasymplectic
+        assert np.array_equal(s.anchor, np.zeros(6))
+
+    def test_conjugate_tilt_is_not_parasymplectic(self):
+        L = pair_projection(1, 2) + np.array([[0.0, 0.0], [0.0, 0.0], [0.4, 0.0], [0.0, 0.3]])
+        s = linear_surface(L, ((-1.0, 1.0), (-1.0, 1.0)), (4, 4))
+        assert not s.parasymplectic
+        assert parasymplectic_residual(s) == pytest.approx(0.12)
+
+    def test_wrappers_keep_names_flags_and_frames(self):
+        anchor = np.array([0.5, -1.0, 2.0, 0.0, 1.0, 3.0])
+        u = np.array([0.25, -0.75])
+        lam = lamina(2, 3, anchor=anchor)
+        P = pair_projection(2, 3)
+        assert (lam.name, lam.parasymplectic, lam.k, lam.cells) == ("lamina_pair2", True, 1, (64, 64))
+        assert np.array_equal(lam.jacobian(u), P)
+        assert np.array_equal(lam.embed(u), anchor + P @ u)
+
+        block = pair_block_surface((3, 1), 3)
+        assert (block.name, block.parasymplectic, block.k) == ("pair_block_1_3", True, 2)
+        assert np.array_equal(block.jacobian(np.zeros(4)), pair_stack([1, 3], 3))
+        assert block.cells == (8, 8, 8, 8)
+
+        graph = linear_graph_surface(1, 2, GRAPH_COEFFS, anchor=anchor[:4])
+        G = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.3], [0.0, 0.0]])
+        assert (graph.name, graph.parasymplectic) == ("graph_pair1", True)
+        assert np.array_equal(graph.jacobian(u), G)
+        assert np.array_equal(graph.embed(u), anchor[:4] + G @ u)
+
+    def test_returned_and_passed_frames_do_not_alias_the_surface(self):
+        L = pair_projection(1, 2)
+        s = linear_surface(L, ((-1.0, 1.0), (-1.0, 1.0)), (2, 2))
+        L[:] = 7.0
+        J = s.jacobian((0.0, 0.0))
+        J[:] = 9.0
+        assert np.array_equal(s.jacobian((0.0, 0.0)), pair_projection(1, 2))
+        assert np.array_equal(s.embed((1.0, 2.0)), [1.0, 2.0, 0.0, 0.0])
+        assert surface_area(s) == pytest.approx(4.0)
+
+
+class TestAnchorShape:
+    def test_short_anchor_rejected(self):
+        with pytest.raises(ValueError, match="anchor must have shape"):
+            lamina(1, 2, anchor=[7.0])
+
+    def test_long_anchor_rejected(self):
+        with pytest.raises(ValueError, match=r"anchor must have shape \(4,\), got \(3,\)"):
+            linear_graph_surface(1, 2, GRAPH_COEFFS, anchor=[1.0, 2.0, 3.0])
+
+    def test_custom_surface_anchor_checked(self):
+        s = curved_graph(cells=(2, 2))
+        with pytest.raises(ValueError, match="anchor must have shape"):
+            replace(s, anchor=np.zeros((2, 2)))
+
+
+def per_point_reference(s, Phi, target):
+    """The grid quantities from loops over the one-point public functions."""
+    eye = np.eye(2 * s.n_pairs)
+    P = pair_projection(target, s.n_pairs)
+    subsets = list(combinations(range(1, s.n_pairs + 1), s.k))
+    rows = []
+    for pt in s.cell_centers():
+        shadows = [shadow_area_factor(s, Phi, S, pt) for S in subsets]
+        rows.append(
+            [
+                mapped_area_factor(s, eye, pt),
+                pullback_density(s, pt),
+                sum(shadows),
+                # Hadamard bound on every shadow of the mapped frame, times their count
+                len(subsets) * np.prod(np.linalg.norm(Phi @ s.jacobian(pt), axis=0)),
+                shadow_area_factor(s, Phi, target, pt) if s.k == 1 else 0.0,
+                *(P.T @ (Phi @ (s.embed(pt) - s.anchor))),
+            ]
+        )
+    return np.array(rows).T
+
+
+def assert_walk_matches_reference(s, Phi, target):
+    cv = s.cell_volume
+    sqrtg, pullback, shadow_sum, hadamard, shadow, P_img, Q_img = per_point_reference(
+        s, Phi, target
+    )
+    assert surface_area(s) == pytest.approx(np.sum(sqrtg) * cv, rel=1e-13)
+    assert parasymplectic_residual(s) == pytest.approx(
+        np.max(np.abs(pullback - 1.0)), rel=1e-13, abs=1e-13
+    )
+    # the mapped density and the shadow sum round differently; the gap is
+    # relative to the largest size the summed shadows can have
+    scale = np.sum(hadamard) * cv
+    assert abs(signed_shadow_integral(s, Phi) - np.sum(shadow_sum) * cv) <= 1e-13 * scale
+    assert abs(unsigned_shadow_integral(s, Phi) - np.sum(np.abs(shadow_sum)) * cv) <= 1e-13 * scale
+    if s.k != 1:
+        return
+    dm = density_map(s, Phi, target)
+    caustic = np.abs(shadow) < 1e-12
+    assert np.array_equal(dm.caustic, caustic)
+    np.testing.assert_allclose(dm.prob, sqrtg / np.sum(sqrtg), rtol=1e-13)
+    np.testing.assert_allclose(
+        dm.sigma[~caustic],
+        sqrtg[~caustic] / (np.abs(shadow[~caustic]) * cv * np.sum(sqrtg)),
+        rtol=1e-13,
+    )
+    np.testing.assert_allclose(dm.image, np.column_stack([P_img, Q_img]), rtol=1e-13, atol=1e-15)
+    assert np.array_equal(dm.uv, s.cell_centers())
+
+
+# 17 x 31 = 527 cells spans three blocks of the grid walk, the last one
+# partial; 1 x 1 is a single partial block
+GRIDS = {1: [(17, 31), (1, 1)], 2: [(5, 7, 2, 4), (1, 1, 1, 1)]}
+
+
+class TestGridWalkMatchesPerPoint:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans(), st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_linear_surface(self, seed, n, wide, fine):
+        rng = np.random.default_rng(seed)
+        k = 2 if wide and n >= 2 else 1
+        lo = rng.uniform(-2.0, 0.0, size=2 * k)
+        bounds = tuple(zip(lo, lo + rng.uniform(0.1, 2.0, size=2 * k)))
+        cells = GRIDS[k][0 if fine else 1]
+        s = linear_surface(
+            rng.uniform(-1.0, 1.0, size=(2 * n, 2 * k)), bounds, cells,
+            anchor=rng.uniform(-1.0, 1.0, size=2 * n),
+        )
+        Phi = random_symplectic(n, rng)
+        assert_walk_matches_reference(s, Phi, int(rng.integers(1, n + 1)))
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_curved_graph(self, seed, fine):
+        rng = np.random.default_rng(seed)
+        s = curved_graph(cells=GRIDS[1][0 if fine else 1], c=rng.uniform(-1.0, 1.0))
+        assert_walk_matches_reference(s, random_symplectic(2, rng), int(rng.integers(1, 3)))
