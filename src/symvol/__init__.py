@@ -33,6 +33,7 @@ from .invariants import (
     wirtinger_check,
     expansion_factor,
     CollapseAngle,
+    collapse_beta,
     collapse_angle,
     random_symplectic,
     pair_subsets,

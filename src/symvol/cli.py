@@ -42,15 +42,13 @@ from .heisenberg import (
     zero_control,
 )
 from .invariants import (
-    _poincare_cartan_sums,
-    _volumes,
-    collapse_angle,
+    collapse_beta,
     pair_subsets,
+    poincare_cartan_sum,
     random_symplectic,
     subdet_table,
-    wirtinger_check,
+    volume_2k,
 )
-from .phase import pair_stack
 from .propagation import IntegrationError, IntegratorSettings, propagate
 from .rolling_disc import (
     disc_projection_area,
@@ -235,7 +233,7 @@ _SCHEMAS = {
                     "type": {"enum": ["lamina", "linear_graph"]},
                     "pair": {"type": "integer", "minimum": 1},
                     "n_pairs": {"type": "integer", "minimum": 1},
-                    "bounds": {"type": "array"},
+                    "bounds": {"type": "array", "items": _SPAN},
                     "cells": {
                         "type": "array",
                         "items": {"type": "integer", "minimum": 1},
@@ -266,7 +264,7 @@ _SCHEMAS = {
             "abs_tol": _POSITIVE,
             "quadrature_nodes": {"type": "integer", "minimum": 2},
             "snapshot_times": {**_NUMBER_ARRAY, "minItems": 1},
-            "snapshot_bounds": {"type": "array"},
+            "snapshot_bounds": {"type": "array", "items": _SPAN, "minItems": 2, "maxItems": 2},
             "snapshot_cells": {
                 "type": "array",
                 "items": {"type": "integer", "minimum": 1},
@@ -352,10 +350,6 @@ def _resolve_stm(spec, rng) -> np.ndarray:
     return M
 
 
-def _split_name(pairs) -> str:
-    return "+".join(str(p) for p in pairs)
-
-
 def _tolerance(cfg, args, default=1e-8) -> float:
     if args.tol_override is not None:
         return float(args.tol_override)
@@ -404,58 +398,62 @@ def cmd_invariants(cfg, args, outdir: Path) -> int:
         )
     n = traj.n_pairs
     tol = _tolerance(cfg, args)
-    splits = [tuple(s) for s in cfg.get("splits", [])] or list(pair_subsets(n, proper=True))
+    splits = [tuple(int(p) for p in s) for s in cfg.get("splits", [])]
+    splits = splits or list(pair_subsets(n, proper=True))
     for s in splits:
         if any(p < 1 or p > n for p in s):
             raise ConfigError(f"split {list(s)} out of range for {n} pairs")
+        if list(s) != sorted(set(s)):
+            raise ConfigError(f"split {list(s)} must be sorted and duplicate-free")
+
+    # whole-trajectory calls: a volume per distinct pair subset (split or complement)
+    # and an omega^k per split, on the column selection Phi @ pair_stack(S)
+    table = subdet_table(traj.stms)
+    col_sums, row_sums = table.column_sums.tolist(), table.row_sums.tolist()
+    complements = {
+        s: tuple(p for p in range(1, n + 1) if p not in s) for s in splits if len(s) < n
+    }
+    nu, bound = {}, {}
+    for S in dict.fromkeys([*splits, *complements.values()]):
+        frames = traj.stms[:, :, [c for p in S for c in (2 * p - 2, 2 * p - 1)]]
+        nu[S] = volume_2k(frames).tolist()
+        if S in splits:
+            bound[S] = np.abs(poincare_cartan_sum(frames)).tolist()
 
     samples = []
     violations = []
-    for i in range(len(traj)):
-        t = float(traj.times[i])
-        Phi = traj.stms[i]
-        table = subdet_table(Phi)
-        for j, v in enumerate(table.column_sums, start=1):
-            if abs(v - 1.0) > tol:
-                violations.append(
-                    f"sample {i} (t={sio.fmt(t)}): column {j} sum deviates by {sio.fmt(v - 1.0)}"
-                )
-        for r, v in enumerate(table.row_sums, start=1):
-            if abs(v - 1.0) > tol:
-                violations.append(
-                    f"sample {i} (t={sio.fmt(t)}): row {r} sum deviates by {sio.fmt(v - 1.0)}"
-                )
+    for i, t in enumerate(traj.times.tolist()):
+        at = f"sample {i} (t={sio.fmt(t)})"
+        for kind, sums in (("column", col_sums[i]), ("row", row_sums[i])):
+            for j, v in enumerate(sums, start=1):
+                if abs(v - 1.0) > tol:
+                    violations.append(f"{at}: {kind} {j} sum deviates by {sio.fmt(v - 1.0)}")
         residual = float(traj.residuals[i])
         if residual > tol:
-            violations.append(
-                f"sample {i} (t={sio.fmt(t)}): symplecticity residual {sio.fmt(residual)}"
-            )
+            violations.append(f"{at}: symplecticity residual {sio.fmt(residual)}")
         split_rows = []
         for s in splits:
-            name = _split_name(s)
+            name = "+".join(str(p) for p in s)
             row = {"split": name, "nu": math.nan, "nu_complement": math.nan, "beta": math.nan}
-            if len(s) < n:
+            if s in complements:
+                nu_s, nu_sc = nu[s][i], nu[complements[s]][i]
                 try:
-                    ca = collapse_angle(Phi, s, tol=tol)
-                    row.update(nu=ca.nu_s, nu_complement=ca.nu_sc, beta=ca.beta)
-                    if abs(ca.nu_s * ca.nu_sc * math.sin(ca.beta) - 1.0) > tol:
-                        violations.append(
-                            f"sample {i} (t={sio.fmt(t)}): split {name} collapse identity off"
-                        )
+                    beta = collapse_beta(nu_s, nu_sc, tol)
                 except ValueError as exc:
-                    violations.append(f"sample {i} (t={sio.fmt(t)}): split {name}: {exc}")
-            rep = wirtinger_check(Phi @ pair_stack(s, n))
-            row["wirtinger_margin"] = rep.volume - rep.bound
-            if rep.bound > rep.volume + tol:
-                violations.append(
-                    f"sample {i} (t={sio.fmt(t)}): split {name} breaks the volume lower bound"
-                )
+                    violations.append(f"{at}: split {name}: {exc}")
+                else:
+                    row.update(nu=nu_s, nu_complement=nu_sc, beta=beta)
+                    if abs(nu_s * nu_sc * math.sin(beta) - 1.0) > tol:
+                        violations.append(f"{at}: split {name} collapse identity off")
+            row["wirtinger_margin"] = nu[s][i] - bound[s][i]
+            if bound[s][i] > nu[s][i] + tol:
+                violations.append(f"{at}: split {name} breaks the volume lower bound")
             split_rows.append(row)
         samples.append(
             {
                 "t": t,
-                "column_sums": table.column_sums.tolist(),
-                "row_sums": table.row_sums.tolist(),
+                "column_sums": col_sums[i],
+                "row_sums": row_sums[i],
                 "splits": split_rows,
                 "sympl_residual": residual,
             }
@@ -473,10 +471,8 @@ def cmd_invariants(cfg, args, outdir: Path) -> int:
     sio.write_json(report, outdir / f"{base}.json")
     sio.invariant_report_to_csv(report, outdir / f"{base}.csv")
 
-    col_err = max(
-        abs(v - 1.0) for s in samples for v in s["column_sums"]
-    )
-    row_err = max(abs(v - 1.0) for s in samples for v in s["row_sums"])
+    col_err = np.max(np.abs(table.column_sums - 1.0))
+    row_err = np.max(np.abs(table.row_sums - 1.0))
     print(
         f"invariants over {len(traj)} samples, {len(splits)} splits: "
         f"max column-sum error {sio.fmt(col_err)}, max row-sum error {sio.fmt(row_err)}, "
@@ -557,7 +553,7 @@ def cmd_surface(cfg, args, outdir: Path) -> int:
     para_res = parasymplectic_residual(s)
     # the symplectic density of Phi L is also the sum of its pair-plane shadows
     factors, density = _per_cell(
-        s, lambda x, L: np.column_stack([_volumes(Phi @ L), _poincare_cartan_sums(Phi @ L)])
+        s, lambda x, L: np.column_stack([volume_2k(Phi @ L), poincare_cartan_sum(Phi @ L)])
     ).T.copy()
     mapped_area = float(np.sum(factors)) * s.cell_volume
     signed = float(np.sum(density)) * s.cell_volume

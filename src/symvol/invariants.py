@@ -6,6 +6,10 @@ central objects are the pair-plane subdeterminants M_ij, the Lagrange and
 Poisson brackets read off STM columns and rows, the antisymmetric-sum
 invariant (1/k!) omega^k evaluated combinatorially, Gram 2k-volumes, and the
 expansion factors and collapse angle they induce.
+
+subdet_table, volume_2k and poincare_cartan_sum are stack-aware: given a
+stack (..., 2n, 2n) or (..., 2n, 2k) they return one result per matrix, each
+equal to the single-matrix call, so a whole trajectory is one array call.
 """
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .phase import pair_projection, pair_stack, structure_matrix, symplecticity_residual
 
@@ -31,24 +34,28 @@ __all__ = [
     "wirtinger_check",
     "expansion_factor",
     "CollapseAngle",
+    "collapse_beta",
     "collapse_angle",
     "random_symplectic",
     "pair_subsets",
 ]
 
 
-def _as_stm(Phi) -> np.ndarray:
+def _as_stm(Phi, stack: bool = False) -> np.ndarray:
+    """Phi as a float 2n x 2n array, or a (..., 2n, 2n) stack if allowed."""
     Phi = np.asarray(Phi, dtype=float)
-    if Phi.ndim != 2 or Phi.shape[0] != Phi.shape[1] or Phi.shape[0] % 2 != 0:
+    shaped = Phi.ndim == 2 or (stack and Phi.ndim > 2)
+    if not shaped or Phi.shape[-1] != Phi.shape[-2] or Phi.shape[-1] % 2 != 0:
         raise ValueError("expected a square matrix of even dimension")
     return Phi
 
 
-def _as_vector_set(vs) -> np.ndarray:
+def _as_vector_set(vs, stack: bool = False) -> np.ndarray:
+    """vs as a float 2n x 2k array, or a (..., 2n, 2k) stack if allowed."""
     V = np.asarray(vs, dtype=float)
-    if V.ndim != 2:
+    if V.ndim != 2 and not (stack and V.ndim > 2):
         raise ValueError("vector set must be a 2n x 2k array (vectors as columns)")
-    if V.shape[0] % 2 != 0 or V.shape[1] % 2 != 0 or V.shape[1] < 2:
+    if V.shape[-2] % 2 != 0 or V.shape[-1] % 2 != 0 or V.shape[-1] < 2:
         raise ValueError("vector set needs an even number of even-length columns")
     return V
 
@@ -65,33 +72,32 @@ def subdeterminant(Phi, i: int, j: int) -> float:
 
 @dataclass(frozen=True)
 class SubdetTable:
-    """All n^2 pair-plane subdeterminants of one STM."""
+    """All n^2 pair-plane subdeterminants of one STM or, per matrix, of a stack."""
 
-    entries: np.ndarray  # entries[i-1, j-1] = M_ij
+    entries: np.ndarray  # entries[..., i-1, j-1] = M_ij
 
     @property
     def n_pairs(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     @property
     def column_sums(self) -> np.ndarray:
         """sum_i M_ij, the Lagrange brackets [p_j, q_j] of the map."""
-        return self.entries.sum(axis=0)
+        return self.entries.sum(axis=-2)
 
     @property
     def row_sums(self) -> np.ndarray:
         """sum_j M_ij, the Poisson brackets (P_i, Q_i) of the map."""
-        return self.entries.sum(axis=1)
+        return self.entries.sum(axis=-1)
 
 
 def subdet_table(Phi) -> SubdetTable:
-    Phi = _as_stm(Phi)
-    n = Phi.shape[0] // 2
-    M = np.empty((n, n))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            M[i - 1, j - 1] = subdeterminant(Phi, i, j)
-    return SubdetTable(M)
+    """M_ij of an STM or of a (..., 2n, 2n) stack: one determinant over the
+    2x2 blocks Phi[2i-2:2i, 2j-2:2j] of every matrix."""
+    Phi = _as_stm(Phi, stack=True)
+    n = Phi.shape[-1] // 2
+    blocks = Phi.reshape(*Phi.shape[:-2], n, 2, n, 2).swapaxes(-3, -2)
+    return SubdetTable(np.linalg.det(blocks))
 
 
 def lagrange_bracket(Phi, a: int, b: int) -> float:
@@ -120,29 +126,24 @@ def poisson_bracket(Phi, a: int, b: int) -> float:
     return float(np.dot(ra[0::2], rb[1::2]) - np.dot(ra[1::2], rb[0::2]))
 
 
-def _poincare_cartan_sums(V: np.ndarray) -> np.ndarray:
-    """(1/k!) omega^k of each (..., 2n, 2k) frame of a stack, shape (...)."""
-    n, k = V.shape[-2] // 2, V.shape[-1] // 2
-    total = 0.0
-    for S in combinations(range(n), k):
-        rows = np.array([r for i in S for r in (2 * i, 2 * i + 1)])
-        total = total + np.linalg.det(V.take(rows, axis=-2))
-    return total
-
-
-def poincare_cartan_sum(vs) -> float:
+def poincare_cartan_sum(vs):
     """(1/k!) omega^k evaluated on the 2k column vectors.
 
     Computed as the sum over all k-element pair subsets of the 2k x 2k
     determinants of the selected coordinate rows; equals the sum of signed
     projection volumes onto the symplectic-plane stacks, and is invariant
-    under symplectic maps of the columns.
+    under symplectic maps of the columns.  A float for one 2n x 2k frame, an
+    array of shape (...) for a (..., 2n, 2k) stack.
     """
-    V = _as_vector_set(vs)
-    n, k = V.shape[0] // 2, V.shape[1] // 2
+    V = _as_vector_set(vs, stack=True)
+    n, k = V.shape[-2] // 2, V.shape[-1] // 2
     if k > n:
         raise ValueError(f"k = {k} exceeds the number of pairs n = {n}")
-    return float(_poincare_cartan_sums(V))
+    total = 0.0
+    for S in combinations(range(n), k):
+        rows = np.array([r for i in S for r in (2 * i, 2 * i + 1)])
+        total = total + np.linalg.det(V.take(rows, axis=-2))
+    return float(total) if V.ndim == 2 else total
 
 
 def poincare_cartan_unsigned(vs) -> float:
@@ -150,20 +151,17 @@ def poincare_cartan_unsigned(vs) -> float:
     return abs(poincare_cartan_sum(vs))
 
 
-def _volumes(V: np.ndarray) -> np.ndarray:
-    """sqrt Gram of each (..., 2n, 2k) frame of a stack, shape (...): the
-    product of its singular values, 0 where the frame is rank-deficient."""
-    sv = np.linalg.svd(V, compute_uv=False)
-    full_rank = sv[..., -1] > max(V.shape[-2:]) * np.finfo(float).eps * sv[..., 0]
-    return sv.prod(axis=-1) * full_rank
-
-
-def volume_2k(vs) -> float:
+def volume_2k(vs):
     """Unoriented 2k-volume of the parallelepiped spanned by the columns,
     sqrt of the Gram determinant.  Computed as the product of singular
     values, which gives the same value without squaring the conditioning
-    through the Gram matrix.  Rank-deficient sets give 0."""
-    return float(_volumes(_as_vector_set(vs)))
+    through the Gram matrix.  Rank-deficient sets give 0.  A float for one
+    2n x 2k frame, an array of shape (...) for a (..., 2n, 2k) stack."""
+    V = _as_vector_set(vs, stack=True)
+    sv = np.linalg.svd(V, compute_uv=False)
+    full_rank = sv[..., -1] > max(V.shape[-2:]) * np.finfo(float).eps * sv[..., 0]
+    vol = sv.prod(axis=-1) * full_rank
+    return float(vol) if V.ndim == 2 else vol
 
 
 @dataclass(frozen=True)
@@ -195,11 +193,6 @@ def expansion_factor(Phi, L) -> float:
     return volume_2k(Phi @ L) / v0
 
 
-def _orthonormal_image(Phi, cols):
-    Q, _ = np.linalg.qr(Phi @ cols)
-    return Q
-
-
 @dataclass(frozen=True)
 class CollapseAngle:
     """Expansion factors of a complementary pair-plane split and the angle
@@ -217,6 +210,20 @@ class CollapseAngle:
     beta: float
     beta_principal: float
     clamped: bool
+
+
+def collapse_beta(nu_s: float, nu_sc: float, tol: float = 1e-8) -> float:
+    """beta = asin(1 / (nu_s * nu_sc)) of a split with expansion factors nu_s
+    and nu_sc.  A ratio above 1 by at most tol is roundoff and gives pi/2;
+    beyond that no symplectic map could have produced it: ValueError."""
+    product = nu_s * nu_sc
+    x = 1.0 / product if product else math.inf
+    if x > 1.0 + tol:
+        raise ValueError(
+            f"nu_S * nu_Sc = {product} below 1 beyond tolerance; "
+            "input map is likely not symplectic"
+        )
+    return math.asin(min(x, 1.0))
 
 
 def collapse_angle(Phi, pairs, tol: float = 1e-8) -> CollapseAngle:
@@ -238,17 +245,11 @@ def collapse_angle(Phi, pairs, tol: float = 1e-8) -> CollapseAngle:
     nu_s = expansion_factor(Phi, Ls)
     nu_sc = expansion_factor(Phi, Lc)
 
-    x = 1.0 / (nu_s * nu_sc)
-    clamped = x > 1.0
-    if x > 1.0 + tol:
-        raise ValueError(
-            f"nu_S * nu_Sc = {nu_s * nu_sc} below 1 beyond tolerance; "
-            "input map is likely not symplectic"
-        )
-    beta = math.asin(min(x, 1.0))
+    beta = collapse_beta(nu_s, nu_sc, tol)
+    clamped = 1.0 / (nu_s * nu_sc) > 1.0
 
-    QA = _orthonormal_image(Phi, Ls)
-    QB = _orthonormal_image(Phi, Lc)
+    QA = np.linalg.qr(Phi @ Ls)[0]
+    QB = np.linalg.qr(Phi @ Lc)[0]
     sv = np.linalg.svd(QA.T @ QB, compute_uv=False)
     sines = np.sqrt(np.clip(1.0 - sv**2, 0.0, 1.0))
     beta_principal = math.asin(min(1.0, float(np.prod(sines))))
@@ -260,6 +261,7 @@ def random_symplectic(n_pairs: int, rng: np.random.Generator, scale: float = 1.0
     """Random symplectic matrix exp(J A), A symmetric with uniform [-1, 1]
     entries (times scale).  The symplecticity residual is verified <= 1e-10
     on every draw."""
+    from scipy.linalg import expm  # deferred: it roughly doubles the import time of symvol
     J = structure_matrix(n_pairs)
     for _ in range(5):
         U = rng.uniform(-1.0, 1.0, size=(2 * n_pairs, 2 * n_pairs))

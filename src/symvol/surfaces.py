@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .invariants import _poincare_cartan_sums, _volumes, poincare_cartan_sum, volume_2k
+from .invariants import poincare_cartan_sum, volume_2k
 from .phase import pair_projection, pair_stack
 
 __all__ = [
@@ -188,7 +188,7 @@ def _per_cell(s: SurfaceParam, fn) -> np.ndarray:
 
 def surface_area(s: SurfaceParam) -> float:
     """Midpoint quadrature of the Riemannian 2k-area, sum sqrt(Gram) dcell."""
-    return float(np.sum(_per_cell(s, lambda x, L: _volumes(L)))) * s.cell_volume
+    return float(np.sum(_per_cell(s, lambda x, L: volume_2k(L)))) * s.cell_volume
 
 
 def pullback_density(s: SurfaceParam, point) -> float:
@@ -199,7 +199,7 @@ def pullback_density(s: SurfaceParam, point) -> float:
 
 def parasymplectic_residual(s: SurfaceParam) -> float:
     """max |pullback density - 1| over the grid's cell centers."""
-    density = _per_cell(s, lambda x, L: _poincare_cartan_sums(L))
+    density = _per_cell(s, lambda x, L: poincare_cartan_sum(L))
     return float(np.max(np.abs(density - 1.0)))
 
 
@@ -227,7 +227,7 @@ def shadow_area_factor(s: SurfaceParam, Phi, target, point) -> float:
 def _mapped_densities(s: SurfaceParam, Phi) -> np.ndarray:
     """Symplectic density (1/k!) omega^k of the mapped frame Phi L per cell."""
     Phi = np.eye(2 * s.n_pairs) if Phi is None else np.asarray(Phi, dtype=float)
-    return _per_cell(s, lambda x, L: _poincare_cartan_sums(Phi @ L))
+    return _per_cell(s, lambda x, L: poincare_cartan_sum(Phi @ L))
 
 
 def signed_shadow_integral(s: SurfaceParam, Phi=None) -> float:
@@ -292,7 +292,7 @@ def density_map(
 
     def cell(x, L):
         image = np.matmul(P.T, np.matmul(Phi, (x - s.anchor)[..., None]))[..., 0]
-        return np.column_stack([image, _volumes(L), np.linalg.det(shadow_map @ L)])
+        return np.column_stack([image, volume_2k(L), np.linalg.det(shadow_map @ L)])
 
     cells = _per_cell(s, cell)
     image, (sqrtg, shadow) = cells[:, :2], cells[:, 2:].T.copy()

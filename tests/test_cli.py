@@ -2,14 +2,25 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symvol.cli import main
-from symvol.io import load_trajectory, trajectory_to_json
+from symvol.invariants import (
+    collapse_angle,
+    pair_subsets,
+    random_symplectic,
+    subdet_table,
+    wirtinger_check,
+)
+from symvol.io import fmt, invariant_report_to_csv, load_trajectory, trajectory_to_json, write_json
 from symvol.propagation import IntegratorStats, Trajectory
-from symvol.phase import symplecticity_residual
+from symvol.phase import pair_stack, symplecticity_residual
 
 from conftest import BETA_FIXTURE, equal_rotation, squeeze_rotate
 
@@ -201,6 +212,110 @@ class TestInvariants:
         assert code == 2
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("split", [[2, 1], [1, 1]])
+    def test_unsorted_or_repeated_split_is_a_config_error(self, tmp_path, capsys, split):
+        traj_path = fixture_trajectory(tmp_path / "fix.json", [np.eye(6)])
+        code, out = run(tmp_path, "invariants", {"trajectory": traj_path, "splits": [[1], split]})
+        assert code == 2
+        assert f"split {split} must be sorted and duplicate-free" in capsys.readouterr().err
+        assert not (out / "invariants.json").exists()
+
+    @pytest.mark.parametrize("scale", [0.5, 0.0])
+    def test_shrinking_map_breaks_the_collapse_rule(self, tmp_path, capsys, scale):
+        traj_path = fixture_trajectory(tmp_path / "fix.json", [np.eye(4), scale * np.eye(4)])
+        code, out = run(tmp_path, "invariants", {"trajectory": traj_path, "splits": [[1]]})
+        assert code == 4
+        assert (
+            f"VIOLATION: sample 1 (t=1): split 1: nu_S * nu_Sc = {scale**4} "
+            "below 1 beyond tolerance; input map is likely not symplectic"
+        ) in capsys.readouterr().out
+        report = json.loads((out / "invariants.json").read_text())
+        ok, bad = (sample["splits"][0] for sample in report["samples"])
+        assert ok["beta"] == pytest.approx(math.pi / 2, abs=1e-15)
+        assert bad["nu"] is None and bad["nu_complement"] is None and bad["beta"] is None
+        assert bad["wirtinger_margin"] == 0.0
+        assert (out / "invariants.csv").read_text().splitlines()[2].split(",")[5:8] == ["nan"] * 3
+
+
+def _reference_invariants(traj, tol):
+    """The invariants report built one sample and one split at a time from
+    single-matrix calls: the reference for the command's whole-trajectory path."""
+    n = traj.n_pairs
+    splits = list(pair_subsets(n, proper=True))
+    samples, violations = [], []
+    for i in range(len(traj)):
+        t = float(traj.times[i])
+        at = f"sample {i} (t={fmt(t)})"
+        Phi = traj.stms[i]
+        table = subdet_table(Phi)
+        for j, v in enumerate(table.column_sums, start=1):
+            if abs(v - 1.0) > tol:
+                violations.append(f"{at}: column {j} sum deviates by {fmt(v - 1.0)}")
+        for r, v in enumerate(table.row_sums, start=1):
+            if abs(v - 1.0) > tol:
+                violations.append(f"{at}: row {r} sum deviates by {fmt(v - 1.0)}")
+        residual = float(traj.residuals[i])
+        if residual > tol:
+            violations.append(f"{at}: symplecticity residual {fmt(residual)}")
+        rows = []
+        for s in splits:
+            name = "+".join(str(p) for p in s)
+            row = {"split": name, "nu": math.nan, "nu_complement": math.nan, "beta": math.nan}
+            try:
+                ca = collapse_angle(Phi, s, tol=tol)
+                row.update(nu=ca.nu_s, nu_complement=ca.nu_sc, beta=ca.beta)
+                if abs(ca.nu_s * ca.nu_sc * math.sin(ca.beta) - 1.0) > tol:
+                    violations.append(f"{at}: split {name} collapse identity off")
+            except ValueError as exc:
+                violations.append(f"{at}: split {name}: {exc}")
+            rep = wirtinger_check(Phi @ pair_stack(s, n))
+            row["wirtinger_margin"] = rep.volume - rep.bound
+            if rep.bound > rep.volume + tol:
+                violations.append(f"{at}: split {name} breaks the volume lower bound")
+            rows.append(row)
+        samples.append(
+            {
+                "t": t,
+                "column_sums": table.column_sums.tolist(),
+                "row_sums": table.row_sums.tolist(),
+                "splits": rows,
+                "sympl_residual": residual,
+            }
+        )
+    return {
+        "system": traj.system_name,
+        "n_pairs": n,
+        "tolerance": tol,
+        "splits": [list(s) for s in splits],
+        "samples": samples,
+        "violations": violations,
+    }
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    m=st.integers(1, 4),
+    scale=st.floats(0.0, 3.0),
+    factor=st.sampled_from([1.0, 0.5, 2.0]),
+    tol=st.sampled_from([1e-8, 1e-13]),
+)
+@settings(max_examples=40, deadline=None)
+def test_invariants_report_matches_per_sample_reference(seed, n, m, scale, factor, tol):
+    rng = np.random.default_rng(seed)
+    stms = [random_symplectic(n, rng, scale) for _ in range(m)]
+    stms[-1] = factor * stms[-1]  # a shrinking or growing map for the violation branches
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        traj_path = fixture_trajectory(tmp / "fix.json", stms)
+        code, out = run(tmp, "invariants", {"trajectory": traj_path, "tolerance": tol})
+        ref = _reference_invariants(load_trajectory(traj_path), tol)
+        write_json(ref, tmp / "ref.json")
+        invariant_report_to_csv(ref, tmp / "ref.csv")
+        assert code == (4 if ref["violations"] else 0)
+        assert (out / "invariants.json").read_bytes() == (tmp / "ref.json").read_bytes()
+        assert (out / "invariants.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
 
 class TestSkeleton:
     def test_inline_matrix(self, tmp_path):
@@ -357,6 +472,12 @@ class TestSurface:
         assert code == 2
         assert "anchor must have shape (4,)" in capsys.readouterr().err
 
+    def test_bounds_of_numbers_is_a_config_error(self, tmp_path, capsys):
+        cfg = {"surface": {"type": "lamina", "n_pairs": 2, "bounds": [1, 2]}}
+        code, _ = run(tmp_path, "surface", cfg)
+        assert code == 2
+        assert "surface.bounds" in capsys.readouterr().err
+
     def test_linear_graph_needs_coeffs(self, tmp_path, capsys):
         code, _ = run(
             tmp_path,
@@ -440,6 +561,19 @@ class TestExample:
         )
         assert code == 2
         assert "snapshot_times" in capsys.readouterr().err
+
+
+def test_snapshot_bounds_of_numbers_is_a_config_error(tmp_path, capsys):
+    code, _ = run(tmp_path, "example", {"example": "heisenberg", "snapshot_bounds": [1, 2]})
+    assert code == 2
+    assert "snapshot_bounds" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    code = "import sys, symvol.cli; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point_wiring():

@@ -69,6 +69,57 @@ class TestSubdeterminants:
         assert abs(tab.column_sums[0] - 1.0) > 0.5
 
 
+class TestStackedKernels:
+    """A (..., 2n, 2n) or (..., 2n, 2k) stack gives, per matrix, exactly the
+    single-matrix result; the invariants command relies on it."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.sampled_from([(1,), (5,), (2, 3)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_per_matrix(self, seed, n, lead):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, n + 1))
+        Phi = rng.normal(size=(*lead, 2 * n, 2 * n)) * rng.uniform(0.1, 10.0)
+        V = Phi[..., : 2 * k].copy()
+        flat = V.reshape(-1, 2 * n, 2 * k)
+        flat[0, :, -1] = flat[0, :, 0]  # rank-deficient: a repeated column
+        flat[-1, :, 0] = 0.0  # rank-deficient: a zero column
+        table = subdet_table(Phi)
+        vols = volume_2k(V)
+        sums = poincare_cartan_sum(V)
+        assert table.entries.shape == (*lead, n, n)
+        assert vols.shape == sums.shape == lead
+        assert vols.flat[0] == 0.0 and vols.flat[-1] == 0.0
+        for idx in np.ndindex(*lead):
+            single = subdet_table(Phi[idx])
+            assert np.array_equal(table.entries[idx], single.entries)
+            assert np.array_equal(table.column_sums[idx], single.column_sums)
+            assert np.array_equal(table.row_sums[idx], single.row_sums)
+            assert vols[idx] == volume_2k(V[idx])
+            assert sums[idx] == poincare_cartan_sum(V[idx])
+        one = Phi[(0,) * len(lead)]
+        entries = subdet_table(one).entries
+        assert entries.shape == (n, n)
+        for i, j in itertools.product(range(1, n + 1), repeat=2):
+            assert entries[i - 1, j - 1] == subdeterminant(one, i, j)
+        for S in pair_subsets(n):
+            cols = [c for p in S for c in (2 * p - 2, 2 * p - 1)]
+            assert np.array_equal(one @ pair_stack(S, n), one[:, cols])
+            assert volume_2k(pair_stack(S, n)) == 1.0
+
+    def test_single_matrix_results_are_floats(self, rng):
+        V = rng.normal(size=(6, 4))
+        assert type(volume_2k(V)) is float
+        assert type(poincare_cartan_sum(V)) is float
+
+    def test_stack_needs_k_at_most_n(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            poincare_cartan_sum(np.zeros((3, 2, 4)))
+
+
 class TestBrackets:
     def test_match_table_sums(self, rng):
         Phi = random_symplectic(3, rng)
@@ -225,6 +276,10 @@ class TestCollapseAngle:
     def test_rejects_full_split(self):
         with pytest.raises(ValueError):
             collapse_angle(np.eye(4), (1, 2))
+
+    def test_rejects_singular_map(self):
+        with pytest.raises(ValueError, match="below 1 beyond tolerance"):
+            collapse_angle(np.zeros((4, 4)), (1,))
 
 
 class TestRandomSymplectic:
