@@ -211,7 +211,10 @@ def heisenberg_cost_quadrature(ctrl: HeisenbergControl, n_nodes: int = 16, rel_t
     The integrand is polynomial in (X, Y), so modest node counts are exact;
     agreement with the closed form validates the analytic integration.
     """
-    m = moments(ctrl, 1.0, rel_tol=rel_tol)
+    return _cost_quadrature(moments(ctrl, 1.0, rel_tol=rel_tol), n_nodes)
+
+
+def _cost_quadrature(m: Moments, n_nodes: int) -> float:
     nodes, weights = leggauss(n_nodes)
     total = 0.0
     for X, wx in zip(nodes, weights):

@@ -61,6 +61,8 @@ _PI_BETA = 0.4 / 5.0
 _SAFETY = 0.9
 _FAC_MIN = 0.2
 _FAC_MAX = 10.0
+# smallest step, relative to max(|t|, 1), before the solver reports underflow
+_MIN_STEP = 16.0 * np.finfo(float).eps
 
 
 def _error_norm(e, y0, y1, rel_tol, abs_tol):
@@ -124,7 +126,6 @@ def solve_ode_rk45(
     err_prev = 1e-4
     n_steps = 0
     n_rejected = 0
-    eps = np.finfo(float).eps
 
     while next_eval < t_eval.size:
         if n_steps + n_rejected >= max_steps:
@@ -138,7 +139,7 @@ def solve_ode_rk45(
             lands = True
         else:
             lands = False
-        if h_attempt < 16.0 * eps * max(abs(t), 1.0):
+        if h_attempt < _MIN_STEP * max(abs(t), 1.0):
             raise IntegrationError(f"step size underflow at t = {t}")
 
         hs = direction * h_attempt

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symvol.cli import main
+from symvol.heisenberg import constant_control, moments
 from symvol.invariants import (
     collapse_angle,
     pair_subsets,
@@ -21,6 +22,7 @@ from symvol.invariants import (
 from symvol.io import fmt, invariant_report_to_csv, load_trajectory, trajectory_to_json, write_json
 from symvol.propagation import IntegratorStats, Trajectory
 from symvol.phase import pair_stack, symplecticity_residual
+from symvol.rolling_disc import disc_propagate, zero_projection_control
 
 from conftest import BETA_FIXTURE, equal_rotation, squeeze_rotate
 
@@ -552,6 +554,85 @@ class TestExample:
         _, out2 = run(tmp_path, "example", cfg)
         assert (out2 / "heisenberg_summary.json").read_bytes() == first
         assert (out2 / "heisenberg_snapshots.csv").read_bytes() == snaps
+
+    def test_disc_snapshot_an_ulp_off_the_sample_grid(self, tmp_path):
+        # linspace(0, 2, 2001)[9] is 0.009000000000000001, one ulp above 0.009
+        code, out = run(
+            tmp_path,
+            "example",
+            {
+                "example": "disc",
+                "control": {"family": "constant", "u": 1.0, "v": 0.0, "compliant": True},
+                "t_final": 2.0,
+                "samples": 2001,
+                "snapshot_times": [0.009],
+            },
+        )
+        assert code == 0
+        rows = (out / "disc_snapshots.csv").read_text().splitlines()[1:]
+        assert len(rows) == 81
+        assert {row.split(",")[0] for row in rows} == {"0.0089999999999999993"}
+        assert float(rows[0].split(",")[0]) == 0.009
+
+    def test_disc_snapshot_next_to_the_start_is_an_integration_failure(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "example", {"example": "disc", "snapshot_times": [1e-17]})
+        assert code == 3
+        assert "step size underflow" in capsys.readouterr().err
+
+    def test_heisenberg_costs_share_the_final_time(self, tmp_path):
+        code, out = run(
+            tmp_path,
+            "example",
+            {
+                "example": "heisenberg",
+                "control": {"family": "constant", "u": 1.0, "v": 0.5},
+                "t_final": 0.5,
+            },
+        )
+        assert code == 0
+        s = json.loads((out / "heisenberg_summary.json").read_text())
+        assert s["f_closed"] == pytest.approx(10.9375, abs=1e-9)
+        assert abs(s["f_closed"] - s["f_quadrature"]) <= 1e-9
+
+    def test_snapshots_match_a_per_point_reference(self, tmp_path):
+        bounds, cells = [[-0.3, 0.2], [0.1, 0.4]], [3, 2]
+        us, vs = np.linspace(-0.3, 0.2, 4), np.linspace(0.1, 0.4, 3)
+        times = [0.0, 0.45, 1.0]
+        common = {
+            "control": {"family": "constant", "u": 0.7, "v": -0.2, "compliant": True},
+            "t_final": 1.0,
+            "snapshot_times": times,
+            "snapshot_bounds": bounds,
+            "snapshot_cells": cells,
+        }
+        code, out = run(tmp_path, "example", {"example": "heisenberg", **common})
+        assert code == 0
+        lines = ["t,u,v,x,y,z"]
+        ctrl = constant_control(0.7, -0.2)
+        for t in times:
+            m = moments(ctrl, t)
+            for X in us:
+                for Y in vs:
+                    x, y = X + m.mu, Y + m.nu
+                    z = Y * m.mu - X * m.nu + m.alpha
+                    lines.append(",".join(fmt(v) for v in (t, X, Y, x, y, z)))
+        assert (out / "heisenberg_snapshots.csv").read_text() == "\n".join(lines) + "\n"
+
+        code, out = run(tmp_path, "example", {"example": "disc", "samples": 11, **common})
+        assert code == 0
+        t_eval = np.unique(np.concatenate([np.linspace(0.0, 1.0, 11), times]))
+        traj = disc_propagate(
+            zero_projection_control(ctrl.u, ctrl.v), [0.0, 0.0, 0.0, 0.5 * math.pi, 0.0],
+            (0.0, 1.0), t_eval=t_eval,
+        )
+        lines = ["t,u,v,dx,dy"]
+        for t in times:
+            A, B, C, D = traj.integrals[list(traj.times).index(t)][:4]
+            for du in us:
+                for dv in vs:
+                    dx, dy = A * du + C * dv, B * du + D * dv
+                    lines.append(",".join(fmt(v) for v in (t, du, dv, dx, dy)))
+        assert (out / "disc_snapshots.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_snapshot_times_validated(self, tmp_path, capsys):
         code, _ = run(

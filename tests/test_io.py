@@ -1,11 +1,15 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from symvol import io as sio
 from symvol.io import (
     density_map_to_csv,
     fmt,
@@ -16,8 +20,9 @@ from symvol.io import (
     trajectory_to_csv,
     trajectory_to_json,
     write_json,
+    write_table,
 )
-from symvol.propagation import propagate
+from symvol.propagation import IntegratorStats, Trajectory, propagate
 from symvol.surfaces import density_map, lamina
 from symvol.systems import builtin_system
 
@@ -35,6 +40,34 @@ class TestFmt:
     @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
     def test_round_trips_every_double(self, x):
         assert float(fmt(x)) == x
+
+
+@st.composite
+def csv_tables(draw):
+    """1-3 tables of one width (1-8), with row counts around the write block,
+    over every double: nan, +-inf, -0.0 and subnormals included."""
+    width = draw(st.integers(1, 8))
+    block = sio._BLOCK
+    shapes = st.sampled_from([0, 1, 2, block - 1, block, block + 1, 2 * block + 1])
+    return [
+        draw(arrays(np.float64, (rows, width), elements=st.floats(width=64)))
+        for rows in draw(st.lists(shapes, min_size=1, max_size=3))
+    ]
+
+
+class TestWriteTable:
+    @settings(max_examples=60, deadline=None)
+    @given(tables=csv_tables(), with_header=st.booleans(), split=st.booleans())
+    def test_bytes_match_per_value_fmt(self, tables, with_header, split):
+        header = [f"c{j}" for j in range(tables[0].shape[1])] if with_header else None
+        lines = [",".join(header)] if with_header else []
+        lines += [",".join(fmt(v) for v in row) for table in tables for row in table]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            # each table as one 2-D column group, or as a 1-D column and the rest
+            parts = ([t[:, 0], t[:, 1:]] if split else [t] for t in tables)
+            write_table(path, header, parts)
+            assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()
 
 
 class TestWriteJson:
@@ -68,6 +101,22 @@ class TestTrajectoryRoundTrip:
         assert np.array_equal(back.states, pendulum_traj.states)
         assert np.array_equal(back.stms, pendulum_traj.stms)
         assert np.array_equal(back.energy_drift, pendulum_traj.energy_drift)
+
+    def test_csv_with_64_pairs(self, tmp_path, rng):
+        dim = 128
+        stms = np.eye(dim) + 1e-3 * rng.normal(size=(2, dim, dim))
+        traj = Trajectory(
+            "wide", [0.0, 0.5], rng.normal(size=(2, dim)), stms, [0.0, 0.0], [math.nan, 1.5],
+            IntegratorStats("rk4", 1, 0, 4, math.nan, math.nan),
+        )
+        path = tmp_path / "wide.csv"
+        trajectory_to_csv(traj, path)
+        back = load_trajectory(path)
+        assert back.n_pairs == 64
+        assert np.array_equal(back.times, traj.times)
+        assert np.array_equal(back.states, traj.states)
+        assert np.array_equal(back.stms, traj.stms)
+        assert np.array_equal(back.energy_drift, traj.energy_drift, equal_nan=True)
 
     def test_json_exact(self, tmp_path, pendulum_traj):
         path = tmp_path / "traj.json"
