@@ -21,12 +21,13 @@ violation (including degenerate density maps), 5 input not symplectic.
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import json
 import math
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import io as sio
@@ -67,7 +68,7 @@ from .surfaces import (
     signed_shadow_integral,
     surface_area,
 )
-from .systems import builtin_system
+from .systems import BUILTIN_SYSTEMS, builtin_system
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -278,23 +279,85 @@ _SCHEMAS = {
 }
 
 
-def _format_schema_error(err: jsonschema.ValidationError) -> str:
-    path = ".".join(str(p) for p in err.absolute_path)
-    if err.validator == "required":
-        missing = err.message.split("'")[1]
-        full = f"{path}.{missing}" if path else missing
-        return f"missing required field '{full}'"
-    if err.validator == "additionalProperties":
-        where = path or "top level"
-        return f"unknown key at {where}: {err.message}"
-    return f"{path or 'config'}: {err.message}"
+# a bool is of no type but "boolean", and an integral float such as 5.0 is no integer
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "number": (int, float), "integer": int}
+
+
+def _has_type(value, name) -> bool:
+    return isinstance(value, bool) == (name == "boolean") and isinstance(value, _TYPES[name])
+
+
+def _child(path, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _schema_error(value, schema, path=""):
+    """The first way value breaks schema, as a message; None if it conforms.
+
+    Covers the JSON Schema 2020-12 keywords the schemas above use: type, enum,
+    minimum, exclusiveMinimum, minItems, maxItems, items, required, properties,
+    additionalProperties (false) and oneOf.  path is the dotted instance path.
+    """
+    at = path or "config"
+    if "oneOf" in schema:
+        branches = schema["oneOf"]
+        errors = [_schema_error(value, b, path) for b in branches]
+        if errors.count(None) == 1:
+            return None
+        # with no match, report the one branch that value has the type and keys of
+        fits = [
+            err for b, err in zip(branches, errors)
+            if _schema_error(value, {k: b[k] for k in ("type", "required") if k in b}) is None
+        ]
+        if len(fits) == 1 and fits[0] is not None:
+            return fits[0]
+        how = "valid under more than one" if None in errors else "not valid under any"
+        return f"{at}: {value!r} is {how} of the given schemas"
+    if "type" in schema and not _has_type(value, schema["type"]):
+        return f"{at}: {value!r} is not of type {schema['type']!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        return f"{at}: {value!r} is not one of {schema['enum']!r}"
+    if _has_type(value, "number"):
+        if "minimum" in schema and value < schema["minimum"]:
+            return f"{at}: {value!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            bound = schema["exclusiveMinimum"]
+            return f"{at}: {value!r} is less than or equal to the minimum of {bound!r}"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return f"{at}: {value!r} is too short"
+        if len(value) > schema.get("maxItems", len(value)):
+            return f"{at}: {value!r} is too long"
+        if "items" in schema:
+            for i, item in enumerate(value):
+                err = _schema_error(item, schema["items"], _child(path, i))
+                if err:
+                    return err
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f"missing required field '{_child(path, key)}'"
+        props = schema.get("properties", {})
+        extra = sorted(k for k in value if k not in props)
+        if extra and schema.get("additionalProperties", True) is False:
+            listed = ", ".join(map(repr, extra)) + (" was" if len(extra) == 1 else " were")
+            return (
+                f"unknown key at {path or 'top level'}: "
+                f"Additional properties are not allowed ({listed} unexpected)"
+            )
+        for key, item in value.items():
+            if key in props:
+                err = _schema_error(item, props[key], _child(path, key))
+                if err:
+                    return err
+    return None
 
 
 def _validate_config(cfg, schema) -> None:
-    validator = jsonschema.Draft202012Validator(schema)
-    err = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
+    err = _schema_error(cfg, schema)
     if err is not None:
-        raise ConfigError(_format_schema_error(err))
+        raise ConfigError(err)
 
 
 def _load_config(path) -> dict:
@@ -312,7 +375,17 @@ def _load_config(path) -> dict:
 def _make_system(spec):
     if isinstance(spec, str):
         return builtin_system(spec)
-    return builtin_system(spec["name"], **spec.get("params", {}))
+    name, params = spec["name"], spec.get("params", {})
+    if name in BUILTIN_SYSTEMS:  # builtin_system reports an unknown name
+        accepted = inspect.signature(BUILTIN_SYSTEMS[name]).parameters
+        for key, value in params.items():
+            if key not in accepted:
+                raise ConfigError(f"system {name!r} has no parameter {key!r}")
+            if not _has_type(value, "number"):  # every builtin parameter is a number
+                raise ConfigError(
+                    f"system {name!r} parameter {key!r} must be a number, got {value!r}"
+                )
+    return builtin_system(name, **params)
 
 
 def _make_settings(cfg) -> IntegratorSettings:
@@ -767,6 +840,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: building it costs more than a short command
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the JSON run config")

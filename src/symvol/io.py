@@ -2,8 +2,10 @@
 
 Text output uses 17 significant digits, enough for exact float round-trips;
 every CSV file is written from arrays by ``write_table`` and read back with
-Python's ``float()``.  Loaded STMs get their symplecticity residual
-recomputed (files are not trusted on derived quantities).
+Python's ``float()``.  Every JSON file is written by ``write_json``, which
+turns each array into Python values once and joins runs of finite floats in
+one step.  Loaded STMs get their symplecticity residual recomputed (files
+are not trusted on derived quantities).
 """
 from __future__ import annotations
 
@@ -61,30 +63,58 @@ def _read_floats(rows) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in rows if row], dtype=float)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        # JSON has no inf/nan literals; keep them readable and reloadable
-        return None if math.isnan(obj) else ("1e999" if obj > 0 else "-1e999")
-    return obj
-
-
 def write_json(obj, path):
-    """Deterministic JSON: sorted keys, fixed layout, no timestamps."""
+    """Deterministic JSON: sorted keys, fixed layout, no timestamps.
+
+    The bytes are ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` with
+    arrays and numpy scalars taken as Python values and each non-finite float
+    spelled null (nan), "1e999" or "-1e999": JSON has no literal for them, and
+    these spellings stay readable and reload.
+    """
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(_encode(obj, "\n") + "\n")
+
+
+def _encode(obj, newline):
+    """obj as indented JSON text; newline is "\\n" plus the indent of obj's line."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [_key(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        sep = "," + inner
+        try:  # a flat run of floats is joined in one step
+            text = sep.join(map(float.__repr__, obj))
+        except TypeError:  # some item is not a float
+            text = None
+        if text is None or "n" in text:  # only nan and the infinities repr with an n
+            text = sep.join([_encode(v, inner) for v in obj])
+        return "[" + inner + text + newline + "]"
+    if isinstance(obj, np.floating):
+        obj = float(obj)
+    elif isinstance(obj, np.integer):
+        obj = int(obj)
+    elif isinstance(obj, np.bool_):
+        obj = bool(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "null" if math.isnan(obj) else ('"1e999"' if obj > 0 else '"-1e999"')
+    return json.dumps(obj)  # str, int, bool or None; TypeError for anything else
+
+
+def _key(k) -> str:
+    """A dict key as json spells it: str, int, float, bool and None become strings."""
+    if isinstance(k, str):
+        return json.dumps(k)
+    if k is None or isinstance(k, (int, float)):
+        return '"' + json.dumps(k, allow_nan=False) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 def read_json(path):

@@ -59,6 +59,15 @@ def fixture_trajectory(path, stms, times=None):
     return str(path)
 
 
+_PROPAGATE = {
+    "system": "coupled_oscillators",
+    "initial_state": [0.3, 0.1, -0.2, 0.4],
+    "t_span": [0.0, 1.0],
+    "samples": 5,
+}
+_LAMINA = {"type": "lamina", "pair": 1, "n_pairs": 2, "cells": [4, 4]}
+
+
 class TestConfigErrors:
     def test_missing_required_field(self, tmp_path, capsys):
         code, _ = run(tmp_path, "propagate", {"system": "harmonic_oscillator", "initial_state": [1, 0]})
@@ -95,6 +104,89 @@ class TestConfigErrors:
         code, _ = run(tmp_path, "invariants", {"splits": [[1]]})
         assert code == 2
         assert "trajectory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, cfg, message",
+        [
+            (
+                "propagate",
+                {"system": "pendulum", "initial_state": [1, 0]},
+                "missing required field 't_span'",
+            ),
+            ("surface", {"surface": {"n_pairs": 2}}, "missing required field 'surface.type'"),
+            (
+                "propagate",
+                {**_PROPAGATE, "extra": 1},
+                "unknown key at top level: "
+                "Additional properties are not allowed ('extra' was unexpected)",
+            ),
+            (
+                "propagate",
+                {**_PROPAGATE, "integrator": {"b": 1, "a": 2}},
+                "unknown key at integrator: "
+                "Additional properties are not allowed ('a', 'b' were unexpected)",
+            ),
+            (
+                "propagate",
+                {**_PROPAGATE, "system": {"name": "pendulum", "extra": 1}},
+                "unknown key at system: "
+                "Additional properties are not allowed ('extra' was unexpected)",
+            ),
+            (
+                "surface",
+                {"surface": {**_LAMINA, "bounds": [[0, 1, 2], [0, 1]]}},
+                "surface.bounds.0: [0, 1, 2] is too long",
+            ),
+            ("propagate", {**_PROPAGATE, "samples": True}, "samples: True is not of type 'integer'"),
+            (
+                "propagate",
+                {**_PROPAGATE, "integrator": {"rel_tol": 0}},
+                "integrator.rel_tol: 0 is less than or equal to the minimum of 0",
+            ),
+            ("skeleton", {"stm": {"matrix": "M"}}, "stm.matrix: 'M' is not of type 'array'"),
+            ("skeleton", {"stm": 5}, "stm: 5 is not valid under any of the given schemas"),
+            (
+                "skeleton",
+                {"stm": {"sample": 1}},
+                "stm: {'sample': 1} is not valid under any of the given schemas",
+            ),
+        ],
+    )
+    def test_schema_messages(self, tmp_path, capsys, command, cfg, message):
+        assert run(tmp_path, command, cfg)[0] == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, cfg, field",
+        [
+            ("propagate", {**_PROPAGATE, "samples": 5.0}, "samples"),
+            ("propagate", {**_PROPAGATE, "integrator": {"method": "rk4", "n_steps": 10.0}},
+             "integrator.n_steps"),
+            ("surface", {"surface": {**_LAMINA, "n_pairs": 2.0}}, "surface.n_pairs"),
+            ("surface", {"surface": {**_LAMINA, "cells": [4, 4.0]}}, "surface.cells.1"),
+            ("skeleton", {"stm": {"random_symplectic": {"n_pairs": 2.0}}},
+             "stm.random_symplectic.n_pairs"),
+            ("example", {"example": "heisenberg", "quadrature_nodes": 8.0}, "quadrature_nodes"),
+        ],
+    )
+    def test_integral_float_in_an_integer_field(self, tmp_path, capsys, command, cfg, field):
+        assert run(tmp_path, command, cfg)[0] == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "system, state, param",
+        [
+            ({"name": "coupled_oscillators", "params": {"bogus": 1}}, [1, 0, 0, 0], "bogus"),
+            ({"name": "harmonic_oscillator", "params": {"epsilon": 0.1}}, [1, 0], "epsilon"),
+            ({"name": "coupled_oscillators", "params": {"epsilon": [1]}}, [1, 0, 0, 0], "epsilon"),
+            ({"name": "coupled_oscillators", "params": {"epsilon": True}}, [1, 0, 0, 0], "epsilon"),
+        ],
+    )
+    def test_bad_system_params(self, tmp_path, capsys, system, state, param):
+        cfg = {"system": system, "initial_state": state, "t_span": [0, 1]}
+        assert run(tmp_path, "propagate", cfg)[0] == 2
+        err = capsys.readouterr().err
+        assert f"system {system['name']!r}" in err and repr(param) in err
 
 
 class TestPropagate:
@@ -650,11 +742,40 @@ def test_snapshot_bounds_of_numbers_is_a_config_error(tmp_path, capsys):
     assert "snapshot_bounds" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    code = "import sys, symvol.cli; print('scipy.linalg' in sys.modules)"
+def _loaded_by_cli_import(module) -> bool:
+    code = f"import sys, symvol.cli; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    assert not _loaded_by_cli_import("scipy.linalg")
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    assert not _loaded_by_cli_import("jsonschema")
+
+
+def test_successive_main_calls_start_from_the_default_flags(tmp_path):
+    # main reuses one parser; no flag of one call may carry into the next
+    skel = write_config(tmp_path, {"stm": {"random_symplectic": {"n_pairs": 2}}}, "skel.json")
+    prop = write_config(tmp_path, _PROPAGATE, "prop.json")
+
+    def call(command, config, out, *flags):
+        return main([command, "--config", config, "--out", str(tmp_path / out), *flags])
+
+    # a tolerance below rounding rejects the drawn map
+    flags = ["--tol-override", "1e-300", "--seed", "7", "--format", "json"]
+    assert call("skeleton", skel, "a", *flags) == 5
+    assert call("propagate", prop, "b") == 0
+    assert sorted(p.name for p in (tmp_path / "b").iterdir()) == ["trajectory.csv"]
+    assert call("skeleton", skel, "c") == 0
+    assert call("skeleton", skel, "seed0", "--seed", "0") == 0
+    assert call("skeleton", skel, "seed7", "--seed", "7") == 0
+    skeleton = (tmp_path / "c" / "skeleton.json").read_bytes()
+    assert skeleton == (tmp_path / "seed0" / "skeleton.json").read_bytes()
+    assert skeleton != (tmp_path / "seed7" / "skeleton.json").read_bytes()
 
 
 def test_module_entry_point_wiring():

@@ -1,0 +1,117 @@
+"""The in-tree config validator against jsonschema's Draft 2020-12 validator."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symvol.cli import _SCHEMAS, _schema_error
+
+_KEYWORDS = {
+    "type", "required", "properties", "additionalProperties", "items", "minItems",
+    "maxItems", "minimum", "exclusiveMinimum", "enum", "oneOf",
+}
+
+# a value of any JSON type: the wrong type for most places it lands
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _subschemas(schema):
+    yield schema
+    for branch in schema.get("oneOf", ()):
+        yield from _subschemas(branch)
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+@st.composite
+def configs(draw, schema):
+    """An instance of schema, broken at about one node in sixteen: a wrong
+    type, a bool where a number goes, a value out of range, a missing required
+    key, an extra key or a wrong length.  About one integer in sixteen is an
+    integral float, which only jsonschema accepts."""
+    if "oneOf" in schema:
+        return draw(configs(draw(st.sampled_from(schema["oneOf"]))))
+    broken = draw(st.integers(0, 15)) == 0
+    kind = schema.get("type")
+    if broken and draw(st.booleans()):
+        wrong = [_ANY_JSON, st.booleans()]
+        if "minimum" in schema:
+            wrong.append(st.just(schema["minimum"] - 1))
+        if "exclusiveMinimum" in schema:
+            wrong.append(st.sampled_from([schema["exclusiveMinimum"], -1.0]))
+        return draw(st.one_of(wrong))
+    if "enum" in schema:
+        return draw(st.sampled_from(schema["enum"]))
+    if kind == "object":
+        props, required = schema.get("properties"), schema.get("required", [])
+        if props is None:
+            return draw(st.dictionaries(st.text(max_size=3), _ANY_JSON, max_size=2))
+        optional = sorted(set(props) - set(required))
+        keys = list(required)
+        if optional:
+            keys += draw(st.lists(st.sampled_from(optional), unique=True))
+        value = {key: draw(configs(props[key])) for key in keys}
+        if broken:  # drop a required key, or add one the schema does not know
+            if required and draw(st.booleans()):
+                del value[draw(st.sampled_from(required))]
+            else:
+                value["bogus"] = 1
+        return value
+    if kind == "array":
+        lo = schema.get("minItems", 0)
+        hi = schema.get("maxItems", lo + 3)
+        size = draw(st.sampled_from([lo - 1, hi + 1]) if broken else st.integers(lo, hi))
+        items = configs(schema["items"]) if "items" in schema else _ANY_JSON
+        return [draw(items) for _ in range(max(size, 0))]
+    if kind == "integer":
+        low = schema.get("minimum", -3)
+        value = draw(st.integers(low, low + 4))
+        return float(value) if draw(st.integers(0, 15)) == 0 else value
+    if kind == "number":
+        low = schema.get("minimum", schema.get("exclusiveMinimum", -3))
+        floats = st.floats(low, low + 4, exclude_min="exclusiveMinimum" in schema)
+        return draw(floats | st.integers(int(low) + 1, int(low) + 4))
+    if kind == "string":
+        return draw(st.text(max_size=3))
+    return draw(st.booleans())
+
+
+def _holds_integral_float(value):
+    if isinstance(value, float):
+        return value.is_integer()
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, list) and any(_holds_integral_float(v) for v in value)
+
+
+def test_schemas_use_only_the_keywords_the_validator_knows():
+    for schema in _SCHEMAS.values():
+        for sub in _subschemas(schema):
+            assert set(sub) <= _KEYWORDS, set(sub) - _KEYWORDS
+            assert sub.get("additionalProperties", False) is False
+
+
+@pytest.mark.parametrize("command", sorted(_SCHEMAS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_verdicts_match_jsonschema(command, data):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = _SCHEMAS[command]
+    cfg = data.draw(configs(schema))
+    base = jsonschema.Draft202012Validator
+    # jsonschema's "integer" also takes 5.0; the in-tree validator takes only ints
+    strict_checker = base.TYPE_CHECKER.redefine(
+        "integer", lambda checker, v: isinstance(v, int) and not isinstance(v, bool)
+    )
+    strict = jsonschema.validators.extend(base, type_checker=strict_checker)
+    accepted = _schema_error(cfg, schema) is None
+    assert accepted == strict(schema).is_valid(cfg)
+    if accepted != base(schema).is_valid(cfg):
+        assert not accepted and _holds_integral_float(cfg)

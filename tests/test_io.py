@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from symvol import io as sio
 from symvol.io import (
@@ -70,7 +70,90 @@ class TestWriteTable:
             assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()
 
 
+def ref_jsonable(obj):
+    """The recursive walk write_json replaced: json.dumps of its result is the reference."""
+    if isinstance(obj, dict):
+        return {k: ref_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [ref_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return ref_jsonable(obj.tolist())
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        # JSON has no inf/nan literals; keep them readable and reloadable
+        return None if math.isnan(obj) else ("1e999" if obj > 0 else "-1e999")
+    return obj
+
+
+def reference_json(obj) -> bytes:
+    text = json.dumps(ref_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return text.encode()
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e308]
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(width=64),  # nan, +-inf, -0.0 and subnormals included
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.text(),  # quotes, backslashes, control and non-ASCII characters
+    # finite only: the reference refuses a non-finite numpy scalar (see below)
+    st.floats(width=64, allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_ndarrays = arrays(
+    st.sampled_from([np.float64, np.int64, np.bool_]),
+    array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+)
+_json_objects = st.recursive(
+    _json_scalars | _ndarrays | st.lists(st.floats(width=64) | st.sampled_from(_SPECIAL_FLOATS)),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+
+
 class TestWriteJson:
+    @settings(max_examples=300, deadline=None)
+    @given(obj=_json_objects)
+    def test_bytes_match_the_reference_encoder(self, obj):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "obj.json"
+            write_json(obj, path)
+            assert path.read_bytes() == reference_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj", [{2: "a", 10: "b"}, {1.5: 0, -0.0: 1}, {True: 1, False: 2}, {None: 0}, {"k": {}, "": []}]
+    )
+    def test_non_string_keys_match_the_reference_encoder(self, tmp_path, obj):
+        write_json(obj, tmp_path / "obj.json")
+        assert (tmp_path / "obj.json").read_bytes() == reference_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj", [object(), {"a": 1j}, [np.complex128(1j)], {"a": {1, 2}}, {(1, 2): 0}, {"a": 1, 2: 0}]
+    )
+    def test_unsupported_objects_raise_type_error(self, tmp_path, obj):
+        with pytest.raises(TypeError):
+            reference_json(obj)
+        with pytest.raises(TypeError):
+            write_json(obj, tmp_path / "obj.json")
+
+    def test_nonfinite_numpy_scalars_are_spelled_like_floats(self, tmp_path):
+        # ref_jsonable returns float(x) before its non-finite check, so
+        # json.dumps raised ValueError on these; write_json spells them
+        scalars = [np.float64(math.nan), np.float64(-math.inf), np.float32(math.inf)]
+        write_json({"a": scalars}, tmp_path / "np.json")
+        write_json({"a": [math.nan, -math.inf, math.inf]}, tmp_path / "py.json")
+        assert (tmp_path / "np.json").read_bytes() == (tmp_path / "py.json").read_bytes()
+
     def test_deterministic_bytes(self, tmp_path):
         obj = {"b": [1.0, 2.5], "a": np.arange(3), "c": {"z": np.float64(0.5), "y": True}}
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
