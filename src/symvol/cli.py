@@ -411,8 +411,11 @@ def _resolve_stm(spec, rng) -> np.ndarray:
     elif "matrix" in spec:
         M = np.asarray(spec["matrix"], dtype=float)
     elif "trajectory" in spec:
-        traj = sio.load_trajectory(spec["trajectory"])
-        M = traj.stms[spec.get("sample", -1)]
+        stms = sio.load_trajectory(spec["trajectory"]).stms
+        k = spec.get("sample", -1)
+        if not -len(stms) <= k < len(stms):
+            raise ConfigError(f"stm.sample {k} out of range for a trajectory of {len(stms)} samples")
+        M = stms[k]
     elif "random_symplectic" in spec:
         rs = spec["random_symplectic"]
         M = random_symplectic(rs["n_pairs"], rng, scale=rs.get("scale", 1.0))

@@ -9,6 +9,13 @@ rolling-disc cross-check STMs.  Two integrators are provided: an embedded
 Dormand-Prince 5(4) pair with PI step-size control for accuracy, and a
 fixed-step classical RK4 for byte-identical reproducibility.  Symplecticity
 drift of the STM is measured at every sample and recorded, never corrected.
+
+The steppers allocate their stage matrix and work vectors once per solve and
+update them in place (stage sums by np.dot(..., out=)), in the same
+floating-point operations and order as the textbook allocating form, so
+samples and step counters are bit for bit what that form gives.  A system
+marked quadratic (its Hessian is the same at every state) gives the kernel a
+constant J Hess H, formed once per propagate instead of once per RHS call.
 """
 from __future__ import annotations
 
@@ -39,7 +46,7 @@ class IntegrationError(RuntimeError):
 
 
 # --- Dormand-Prince 5(4) tableau ---
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -62,12 +69,13 @@ _SAFETY = 0.9
 _FAC_MIN = 0.2
 _FAC_MAX = 10.0
 # smallest step, relative to max(|t|, 1), before the solver reports underflow
-_MIN_STEP = 16.0 * np.finfo(float).eps
+_MIN_STEP = 16.0 * float(np.finfo(float).eps)
 
 
-def _error_norm(e, y0, y1, rel_tol, abs_tol):
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((e / scale) ** 2)))
+def _finite(v: np.ndarray) -> bool:
+    """Whether every entry of the 1-D array v is finite (one ufunc reduce,
+    without the Python-level dispatch of ndarray.all)."""
+    return bool(np.logical_and.reduce(np.isfinite(v)))
 
 
 def _initial_step(f, t0, y0, f0, direction, rel_tol, abs_tol, span):
@@ -100,7 +108,8 @@ def solve_ode_rk45(
     t_eval must be strictly monotone starting at t0; integration direction
     follows the ordering (backward runs are allowed).  Returns (Y, stats)
     where Y[i] is the solution at t_eval[i] and stats counts steps,
-    rejections and RHS evaluations.
+    rejections and RHS evaluations.  The y handed to f is a work buffer the
+    solver overwrites later, so f must not keep a reference to it.
     """
     y0 = np.asarray(y0, dtype=float)
     t_eval = np.asarray(t_eval, dtype=float)
@@ -110,30 +119,40 @@ def solve_ode_rk45(
     if not (np.all(d > 0) or np.all(d < 0)):
         raise ValueError("t_eval must be strictly monotone")
     direction = 1.0 if d[0] > 0 else -1.0
-    t_end = float(t_eval[-1])
+    nodes = t_eval.tolist()
+    t_end = nodes[-1]
     span = abs(t_end - t0)
 
-    out = np.empty((t_eval.size, y0.size))
+    m = y0.size
+    out = np.empty((len(nodes), m))
     out[0] = y0
     next_eval = 1
 
+    # stage derivatives k, (A_i, c_i, k[:i], k[i]) for stages 1-6, and the
+    # work vectors every attempt writes into
+    k = np.empty((7, m))
+    stages = [(_A[i], _C[i], k[:i], k[i]) for i in range(1, 7)]
+    y, y_new, stage, err_vec, scale = y0.copy(), np.empty(m), np.empty(m), np.empty(m), np.empty(m)
+
     t = float(t0)
-    y = y0.copy()
-    k1 = np.asarray(f(t, y), dtype=float)
+    k[0] = f(t, y)
+    if not _finite(k[0]):
+        raise IntegrationError(f"derivative not finite at t = {t}")
     n_rhs = 2  # f0 plus the probe inside _initial_step
-    h = _initial_step(f, t, y, k1, direction, rel_tol, abs_tol, span)
-    h = min(h, max_step)
+    h = float(min(_initial_step(f, t, y, k[0], direction, rel_tol, abs_tol, span), max_step))
+    if not math.isfinite(h):
+        raise IntegrationError(f"initial step {h} not finite at t = {t}")
     err_prev = 1e-4
     n_steps = 0
     n_rejected = 0
 
-    while next_eval < t_eval.size:
+    while next_eval < len(nodes):
         if n_steps + n_rejected >= max_steps:
             raise IntegrationError(f"step budget {max_steps} exhausted at t = {t}")
         # clamp the attempted step to land exactly on the next sample node
         remaining = abs(t_end - t)
         h_attempt = min(h, max_step, remaining)
-        target = t_eval[next_eval]
+        target = nodes[next_eval]
         if abs(target - t) <= h_attempt * (1 + 1e-12):
             h_attempt = abs(target - t)
             lands = True
@@ -142,35 +161,43 @@ def solve_ode_rk45(
         if h_attempt < _MIN_STEP * max(abs(t), 1.0):
             raise IntegrationError(f"step size underflow at t = {t}")
 
+        # y + hs * (A_i k[:i]) in place; a non-finite stage rejects the step
         hs = direction * h_attempt
-        k = np.empty((7, y.size))
-        k[0] = k1
-        ok = True
-        for i in range(1, 7):
-            yi = y + hs * (_A[i] @ k[:i])
-            ki = np.asarray(f(t + _C[i] * hs, yi), dtype=float)
+        for a, c, k_prev, k_i in stages:
+            np.dot(a, k_prev, out=stage)
+            stage *= hs
+            stage += y
+            k_i[...] = f(t + c * hs, stage)
             n_rhs += 1
-            if not np.isfinite(ki).all():
-                ok = False
+            if not _finite(k_i):
+                err = math.inf
                 break
-            k[i] = ki
-        if ok:
-            y_new = y + hs * (_B5 @ k)  # k[6] is already f(t+h, y_new): FSAL
-            err_vec = hs * (_ERR @ k)
-            finite = np.isfinite(y_new).all()
-            err = _error_norm(err_vec, y, y_new, rel_tol, abs_tol) if finite else math.inf
         else:
-            err = math.inf
+            np.dot(_B5, k, out=y_new)  # k[6] is already f(t+h, y_new): FSAL
+            y_new *= hs
+            y_new += y
+            if _finite(y_new):
+                # RMS of (hs * ERR k) / (abs_tol + rel_tol * max(|y|, |y_new|))
+                np.dot(_ERR, k, out=err_vec)
+                err_vec *= hs
+                np.maximum(np.abs(y, out=scale), np.abs(y_new, out=stage), out=scale)
+                scale *= rel_tol
+                scale += abs_tol
+                err_vec /= scale
+                err_vec *= err_vec
+                err = math.sqrt(float(np.add.reduce(err_vec)) / m)
+            else:
+                err = math.inf
 
         if err <= 1.0:
-            t_new = t + hs
             if lands:
-                t_new = float(target)
+                t = target
                 out[next_eval] = y_new
                 next_eval += 1
-            t = t_new
-            y = y_new
-            k1 = k[6]
+            else:
+                t += hs
+            y, y_new = y_new, y
+            k[0] = k[6]
             n_steps += 1
             if err == 0.0:
                 factor = _FAC_MAX
@@ -202,36 +229,53 @@ def solve_ode_rk4(
 
     The n_steps budget is distributed over the sample intervals in proportion
     to their length (at least one step per interval).  Runs with identical
-    inputs are bit-for-bit reproducible.
+    inputs are bit-for-bit reproducible.  As in solve_ode_rk45, the y handed
+    to f is a work buffer that f must not keep.
     """
     y0 = np.asarray(y0, dtype=float)
     t_eval = np.asarray(t_eval, dtype=float)
     if t_eval.size < 2 or t_eval[0] != t0:
         raise ValueError("t_eval must start at t0 and contain at least two nodes")
-    span = abs(t_eval[-1] - t0)
+    nodes = t_eval.tolist()
+    span = abs(nodes[-1] - t0)
     if span == 0:
         raise ValueError("degenerate time span")
 
-    out = np.empty((t_eval.size, y0.size))
+    m = y0.size
+    out = np.empty((len(nodes), m))
     out[0] = y0
-    y = y0.copy()
+    k = np.empty((4, m))
+    y, stage, acc = y0.copy(), np.empty(m), np.empty(m)
     n_rhs = 0
     total_sub = 0
-    for i in range(1, t_eval.size):
-        ta, tb = float(t_eval[i - 1]), float(t_eval[i])
-        m = max(1, int(round(n_steps * abs(tb - ta) / span)))
-        h = (tb - ta) / m
+    for i in range(1, len(nodes)):
+        ta, tb = nodes[i - 1], nodes[i]
+        sub = max(1, int(round(n_steps * abs(tb - ta) / span)))
+        h = (tb - ta) / sub
         t = ta
-        for _ in range(m):
-            k1 = np.asarray(f(t, y), dtype=float)
-            k2 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
-            k3 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
-            k4 = np.asarray(f(t + h, y + h * k3), dtype=float)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for _ in range(sub):
+            # stage inputs y + (c h) k, then y += (h/6) (((k1 + 2 k2) + 2 k3) + k4)
+            k[0] = f(t, y)
+            np.multiply(k[0], 0.5 * h, out=stage)
+            stage += y
+            k[1] = f(t + 0.5 * h, stage)
+            np.multiply(k[1], 0.5 * h, out=stage)
+            stage += y
+            k[2] = f(t + 0.5 * h, stage)
+            np.multiply(k[2], h, out=stage)
+            stage += y
+            k[3] = f(t + h, stage)
+            np.multiply(k[1], 2.0, out=acc)
+            acc += k[0]
+            np.multiply(k[2], 2.0, out=stage)
+            acc += stage
+            acc += k[3]
+            acc *= h / 6.0
+            y += acc
             t += h
             n_rhs += 4
-        total_sub += m
-        if not np.isfinite(y).all():
+        total_sub += sub
+        if not _finite(y):
             raise IntegrationError(f"solution not finite at t = {tb}")
         out[i] = y
     stats = {"steps": total_sub, "rejected": 0, "rhs_evals": n_rhs}
@@ -258,28 +302,39 @@ class IntegratorSettings:
     def __post_init__(self):
         if self.method not in ("rk45", "rk4"):
             raise ValueError(f"unknown method {self.method!r}; use 'rk45' or 'rk4'")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        # NaN fails every comparison, so each test is written to pass only
+        # on a valid value
+        for name in ("rel_tol", "abs_tol", "residual_budget"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not self.max_step > 0:
+            raise ValueError(f"max_step must be positive, got {self.max_step}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
 
 
 def _augmented_rhs(f, jac, d: int):
     """RHS of y = [x | Phi flattened column-major] for x' = f(t, x) and
-    Phi' = jac(t, x) Phi.
+    Phi' = jac(t, x) Phi, or Phi' = jac Phi when jac is a constant (d, d)
+    array.
 
     y[d:] read row-major is Phi^T, so the variational term is written in
     place as Phi^T jac^T.  A non-finite x gets a NaN derivative, which the
     integrators reject.
     """
+    jac_T = None if callable(jac) else jac.T
 
     def rhs(t, y):
         x = y[:d]
-        if not np.isfinite(x).all():
+        if not _finite(x):
             return np.full(y.size, np.nan)
         dy = np.empty(y.size)
         dy[:d] = f(t, x)
-        np.dot(y[d:].reshape(d, d), jac(t, x).T, out=dy[d:].reshape(d, d))
+        jt = jac(t, x).T if jac_T is None else jac_T
+        np.dot(y[d:].reshape(d, d), jt, out=dy[d:].reshape(d, d))
         return dy
 
     return rhs
@@ -287,6 +342,9 @@ def _augmented_rhs(f, jac, d: int):
 
 def _co_integrate(f, jac, x0, t_eval, settings: IntegratorSettings):
     """Integrate x' = f(t, x) and its STM, Phi' = jac(t, x) Phi, from Phi = I.
+
+    jac is a callable or, for a linear variational equation, a constant
+    (d, d) array.
 
     Returns the states (m, d) and STMs (m, d, d) at the t_eval nodes, and
     the raw integrator counters.
@@ -377,14 +435,15 @@ class Trajectory:
         return float(np.max(self.residuals))
 
 
-def _hamiltonian_field(sys: HamiltonianSystem):
+def _hamiltonian_field(sys: HamiltonianSystem, state0: PhaseState):
     """(f, jac) = (J grad H, J Hess H) as raw-array callables for the kernel.
 
     J acts as swap-and-negate of the interleaved pairs, (J v)[2i] = -v[2i+1]
     and (J v)[2i+1] = v[2i]; the rows of a matrix are swapped by one flat
     take.  The kernel has checked x finite and the integrator fixes its
     length, so the states handed to grad_H/hess_H skip validation.  Both are
-    read from this instance.
+    read from this instance.  For a quadratic system jac is a constant
+    array, from the Hessian at state0.
     """
     dim = sys.dim
     perm = np.arange(dim) ^ 1
@@ -394,6 +453,9 @@ def _hamiltonian_field(sys: HamiltonianSystem):
 
     def f(t, x):
         return sign * np.asarray(grad_H(trusted(x, t)), dtype=float)[perm]
+
+    if sys.quadratic:
+        return f, (hessian(state0).take(rows) * row_sign).reshape(dim, dim)
 
     def jac(t, x):
         return (hessian(trusted(x, t)).take(rows) * row_sign).reshape(dim, dim)
@@ -446,7 +508,8 @@ def propagate(
     vector_field(sys, state0)
     variational_rhs(sys, state0, np.eye(sys.dim))
 
-    states, stms, raw = _co_integrate(*_hamiltonian_field(sys), state0.coords, t_eval, settings)
+    f, jac = _hamiltonian_field(sys, state0)
+    states, stms, raw = _co_integrate(f, jac, state0.coords, t_eval, settings)
     m = t_eval.size
     residuals = np.array([symplecticity_residual(M) for M in stms])
 

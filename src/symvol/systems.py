@@ -1,7 +1,8 @@
 """Hamiltonian system definitions and the builtin catalog.
 
 A system supplies the gradient of H in interleaved coordinates; the Hessian
-is optional and falls back to central finite differences of the gradient.
+is optional and falls back to central finite differences of the gradient.  A
+system marked quadratic has the same Hessian at every state.
 """
 from __future__ import annotations
 
@@ -46,6 +47,10 @@ class HamiltonianSystem:
         PhaseState -> H(x), used for energy-drift diagnostics.
     name : str
         Identifier used in exports and error messages.
+    quadratic : bool
+        True when H is a quadratic form, so that its Hessian is the same at
+        every state.  propagate then evaluates the Hessian once, at the
+        initial state, and forms J Hess H once instead of per RHS call.
     """
 
     n_pairs: int
@@ -54,6 +59,7 @@ class HamiltonianSystem:
     analytic_stm: Optional[Callable[[float, PhaseState], np.ndarray]] = None
     hamiltonian: Optional[Callable[[PhaseState], float]] = None
     name: str = ""
+    quadratic: bool = False
 
     def __post_init__(self):
         if self.n_pairs < 1:
@@ -142,7 +148,9 @@ def _harmonic() -> HamiltonianSystem:
         p, q = s.coords
         return 0.5 * (p * p + q * q)
 
-    return HamiltonianSystem(1, grad, hess, stm, ham, name="harmonic_oscillator")
+    return HamiltonianSystem(
+        1, grad, hess, stm, ham, name="harmonic_oscillator", quadratic=True
+    )
 
 
 def _pendulum() -> HamiltonianSystem:
@@ -184,7 +192,9 @@ def _coupled(epsilon: float = 0.25) -> HamiltonianSystem:
         p1, q1, p2, q2 = s.coords
         return 0.5 * (p1 * p1 + q1 * q1 + p2 * p2 + q2 * q2) + eps * q1 * q2
 
-    return HamiltonianSystem(2, grad, hess, None, ham, name="coupled_oscillators")
+    return HamiltonianSystem(
+        2, grad, hess, None, ham, name="coupled_oscillators", quadratic=True
+    )
 
 
 BUILTIN_SYSTEMS = {

@@ -157,6 +157,30 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize(
+        "key, value",
+        [("rel_tol", math.nan), ("abs_tol", math.nan), ("residual_budget", math.inf),
+         ("max_step", math.nan)],
+    )
+    def test_nonfinite_integrator_setting(self, tmp_path, capsys, key, value):
+        # json reads NaN and Infinity, and exclusiveMinimum lets NaN through;
+        # a NaN tolerance used to spin the solver through its step budget
+        cfg = {**_PROPAGATE, "integrator": {key: value, "max_steps": 5000}}
+        assert run(tmp_path, "propagate", cfg)[0] == 2
+        assert f"config error: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["skeleton", "surface"])
+    @pytest.mark.parametrize("sample", [99, -99])
+    def test_stm_sample_out_of_range(self, tmp_path, capsys, command, sample):
+        traj = fixture_trajectory(tmp_path / "traj.json", [np.eye(4)] * 3)
+        cfg = {"stm": {"trajectory": traj, "sample": sample}}
+        if command == "surface":
+            cfg["surface"] = _LAMINA
+        assert run(tmp_path, command, cfg)[0] == 2
+        assert capsys.readouterr().err == (
+            f"config error: stm.sample {sample} out of range for a trajectory of 3 samples\n"
+        )
+
+    @pytest.mark.parametrize(
         "command, cfg, field",
         [
             ("propagate", {**_PROPAGATE, "samples": 5.0}, "samples"),
@@ -446,6 +470,19 @@ class TestSkeleton:
         # report stores |  ||Phi xi|| - sqrt(lambda) |, which should vanish
         assert sk["pairing"]["image_norm_xi"][0] <= 1e-8
         assert sk["pairing"]["reciprocity"][0] <= 1e-8
+
+    @pytest.mark.parametrize("sample, lam", [(0, 1.0), (-1, 9.0), (None, 9.0), (1, 4.0)])
+    def test_trajectory_sample_selects_the_stm(self, tmp_path, sample, lam):
+        stms = [np.diag([s, 1 / s, 1.0, 1.0]) for s in (1.0, 2.0, 3.0)]
+        spec = {"trajectory": fixture_trajectory(tmp_path / "traj.json", stms)}
+        if sample is not None:
+            spec["sample"] = sample
+        code, out = run(tmp_path, "skeleton", {"stm": spec})
+        assert code == 0
+        sk = json.loads((out / "skeleton.json").read_text())
+        assert max(sk["lambdas"]) == pytest.approx(lam)
+        code, _ = run(tmp_path, "surface", {"stm": spec, "surface": _LAMINA})
+        assert code == 0
 
     def test_non_symplectic_exits_5(self, tmp_path, capsys):
         code, _ = run(tmp_path, "skeleton", {"stm": {"matrix": [[2.0, 0.0], [0.0, 0.4]]}})

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,13 @@ from symvol import (
     variational_rhs,
     vector_field,
 )
-from symvol.propagation import _augmented_rhs, _hamiltonian_field, solve_ode_rk4, solve_ode_rk45
+from symvol.propagation import (
+    _augmented_rhs,
+    _hamiltonian_field,
+    _initial_step,
+    solve_ode_rk4,
+    solve_ode_rk45,
+)
 from symvol.systems import HamiltonianSystem
 from conftest import PENDULUM_X10
 
@@ -75,6 +82,26 @@ class TestSolveOdeRk45:
         assert stats["rejected"] >= 1
         assert np.allclose(ys[:, 0], np.exp(-ts), atol=1e-10)
 
+    def test_nonfinite_initial_derivative_fails_at_once(self):
+        # a NaN f(t0, y0) used to give a NaN first step that every attempt
+        # rejected until the step budget ran out
+        calls = []
+
+        def nan_field(t, y):
+            calls.append(t)
+            return np.array([math.nan])
+
+        with pytest.raises(IntegrationError, match="derivative not finite at t = 0.0"):
+            solve_ode_rk45(nan_field, 0.0, np.array([1.0]), np.array([0.0, 1.0]), max_steps=50)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kwargs", [{"rel_tol": math.nan}, {"abs_tol": math.nan}])
+    def test_nonfinite_initial_step_fails_at_once(self, kwargs):
+        with pytest.raises(IntegrationError, match="initial step nan not finite"):
+            solve_ode_rk45(
+                lambda t, y: -y, 0.0, np.array([1.0]), np.array([0.0, 1.0]), max_steps=50, **kwargs
+            )
+
 
 class TestSolveOdeRk4:
     def test_accuracy(self):
@@ -101,11 +128,25 @@ class TestIntegratorSettings:
             {"rel_tol": 0.0},
             {"abs_tol": -1.0},
             {"n_steps": 0},
+            {"rel_tol": math.nan},
+            {"rel_tol": math.inf},
+            {"abs_tol": math.nan},
+            {"abs_tol": math.inf},
+            {"residual_budget": math.nan},
+            {"residual_budget": math.inf},
+            {"residual_budget": 0.0},
+            {"max_step": math.nan},
+            {"max_step": 0.0},
+            {"max_step": -1.0},
+            {"max_steps": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             IntegratorSettings(**kwargs)
+
+    def test_infinite_max_step_allowed(self):
+        assert IntegratorSettings(max_step=math.inf).max_step == math.inf
 
 
 class TestStm:
@@ -237,7 +278,8 @@ class TestTrajectoryValidation:
 def _kernel_rhs(sys, x, Phi):
     """(x-dot, Phi-dot) from the propagate kernel's augmented RHS."""
     d = sys.dim
-    dy = _augmented_rhs(*_hamiltonian_field(sys), d)(0.0, np.concatenate([x, Phi.ravel(order="F")]))
+    field = _hamiltonian_field(sys, PhaseState._trusted(x, 0.0))
+    dy = _augmented_rhs(*field, d)(0.0, np.concatenate([x, Phi.ravel(order="F")]))
     return dy[:d], dy[d:].reshape((d, d), order="F")
 
 
@@ -278,3 +320,342 @@ class TestKernelMatchesReference:
         sys = builtin_system("pendulum")
         dx, dPhi = _kernel_rhs(sys, np.array([math.inf, 0.0]), np.eye(2))
         assert np.isnan(dx).all() and np.isnan(dPhi).all()
+
+
+# --- reference steppers: the allocating implementations the preallocated
+# ones replaced, kept verbatim so the new ones can be held to their bits ---
+
+_REF_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_REF_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+_REF_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_REF_B4 = np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+)
+_REF_ERR = _REF_B5 - _REF_B4
+_REF_MIN_STEP = 16.0 * np.finfo(float).eps
+
+
+def _ref_error_norm(e, y0, y1, rel_tol, abs_tol):
+    scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
+    return float(np.sqrt(np.mean((e / scale) ** 2)))
+
+
+def ref_solve_ode_rk45(f, t0, y0, t_eval, rel_tol=1e-10, abs_tol=1e-12, max_step=math.inf,
+                       max_steps=10_000_000):
+    y0 = np.asarray(y0, dtype=float)
+    t_eval = np.asarray(t_eval, dtype=float)
+    if t_eval.size < 2 or t_eval[0] != t0:
+        raise ValueError("t_eval must start at t0 and contain at least two nodes")
+    d = np.diff(t_eval)
+    if not (np.all(d > 0) or np.all(d < 0)):
+        raise ValueError("t_eval must be strictly monotone")
+    direction = 1.0 if d[0] > 0 else -1.0
+    t_end = float(t_eval[-1])
+    span = abs(t_end - t0)
+
+    out = np.empty((t_eval.size, y0.size))
+    out[0] = y0
+    next_eval = 1
+
+    t = float(t0)
+    y = y0.copy()
+    k1 = np.asarray(f(t, y), dtype=float)
+    n_rhs = 2
+    h = _initial_step(f, t, y, k1, direction, rel_tol, abs_tol, span)
+    h = min(h, max_step)
+    err_prev = 1e-4
+    n_steps = 0
+    n_rejected = 0
+
+    while next_eval < t_eval.size:
+        if n_steps + n_rejected >= max_steps:
+            raise IntegrationError(f"step budget {max_steps} exhausted at t = {t}")
+        remaining = abs(t_end - t)
+        h_attempt = min(h, max_step, remaining)
+        target = t_eval[next_eval]
+        if abs(target - t) <= h_attempt * (1 + 1e-12):
+            h_attempt = abs(target - t)
+            lands = True
+        else:
+            lands = False
+        if h_attempt < _REF_MIN_STEP * max(abs(t), 1.0):
+            raise IntegrationError(f"step size underflow at t = {t}")
+
+        hs = direction * h_attempt
+        k = np.empty((7, y.size))
+        k[0] = k1
+        ok = True
+        for i in range(1, 7):
+            yi = y + hs * (_REF_A[i] @ k[:i])
+            ki = np.asarray(f(t + _REF_C[i] * hs, yi), dtype=float)
+            n_rhs += 1
+            if not np.isfinite(ki).all():
+                ok = False
+                break
+            k[i] = ki
+        if ok:
+            y_new = y + hs * (_REF_B5 @ k)
+            err_vec = hs * (_REF_ERR @ k)
+            finite = np.isfinite(y_new).all()
+            err = _ref_error_norm(err_vec, y, y_new, rel_tol, abs_tol) if finite else math.inf
+        else:
+            err = math.inf
+
+        if err <= 1.0:
+            t_new = t + hs
+            if lands:
+                t_new = float(target)
+                out[next_eval] = y_new
+                next_eval += 1
+            t = t_new
+            y = y_new
+            k1 = k[6]
+            n_steps += 1
+            if err == 0.0:
+                factor = 10.0
+            else:
+                factor = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)
+                factor = min(10.0, max(0.2, factor))
+            h = h_attempt * factor
+            err_prev = max(err, 1e-10)
+        else:
+            n_rejected += 1
+            if math.isinf(err):
+                h = h_attempt * 0.2
+            else:
+                factor = max(0.2, 0.9 * err ** (-0.2))
+                h = h_attempt * min(1.0, factor)
+
+    stats = {"steps": n_steps, "rejected": n_rejected, "rhs_evals": n_rhs}
+    return out, stats
+
+
+def ref_solve_ode_rk4(f, t0, y0, t_eval, n_steps=1000):
+    y0 = np.asarray(y0, dtype=float)
+    t_eval = np.asarray(t_eval, dtype=float)
+    if t_eval.size < 2 or t_eval[0] != t0:
+        raise ValueError("t_eval must start at t0 and contain at least two nodes")
+    span = abs(t_eval[-1] - t0)
+    if span == 0:
+        raise ValueError("degenerate time span")
+
+    out = np.empty((t_eval.size, y0.size))
+    out[0] = y0
+    y = y0.copy()
+    n_rhs = 0
+    total_sub = 0
+    for i in range(1, t_eval.size):
+        ta, tb = float(t_eval[i - 1]), float(t_eval[i])
+        m = max(1, int(round(n_steps * abs(tb - ta) / span)))
+        h = (tb - ta) / m
+        t = ta
+        for _ in range(m):
+            k1 = np.asarray(f(t, y), dtype=float)
+            k2 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
+            k3 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
+            k4 = np.asarray(f(t + h, y + h * k3), dtype=float)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+            n_rhs += 4
+        total_sub += m
+        if not np.isfinite(y).all():
+            raise IntegrationError(f"solution not finite at t = {tb}")
+        out[i] = y
+    stats = {"steps": total_sub, "rejected": 0, "rhs_evals": n_rhs}
+    return out, stats
+
+
+class _Field:
+    """A seeded linear or nonlinear vector field on R^m that can return NaN
+    on its nan_at-th call (1 = the initial derivative)."""
+
+    def __init__(self, seed, m, linear, nan_at=None):
+        rng = np.random.default_rng(seed)
+        self.A = rng.normal(size=(m, m)) / math.sqrt(m)
+        self.b = rng.normal(size=m)
+        self.linear, self.nan_at, self.calls = linear, nan_at, 0
+
+    def __call__(self, t, y):
+        self.calls += 1
+        if self.calls == self.nan_at:
+            return np.full(y.size, math.nan)
+        if self.linear:
+            return self.A @ y
+        return np.tanh(self.A @ y) + math.sin(3.0 * t) * self.b
+
+
+def _outcome(solver, field, *args, **kwargs):
+    """(Y bytes, stats) of a run, or the IntegrationError message."""
+    try:
+        Y, stats = solver(field, *args, **kwargs)
+    except IntegrationError as exc:
+        return ("error", str(exc))
+    return (Y.tobytes(), stats)
+
+
+@st.composite
+def _problems(draw):
+    """A field spec, y0 and an uneven, forward or backward t_eval."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    m = draw(st.integers(1, 40))
+    linear = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    y0 = rng.normal(size=m)
+    t0 = draw(st.sampled_from([0.0, -1.5, 2.25]))
+    direction = draw(st.sampled_from([1.0, -1.0]))
+    gaps = rng.uniform(0.05, 1.0, size=draw(st.integers(1, 6)))
+    t_eval = t0 + direction * np.concatenate([[0.0], np.cumsum(gaps)])
+    return seed, m, linear, y0, t0, t_eval
+
+
+class TestLeanSteppersMatchReference:
+    """The preallocated steppers return the bits and counters of the
+    allocating reference on the same inputs."""
+
+    @given(
+        problem=_problems(),
+        rel_tol=st.sampled_from([1e-6, 1e-9]),
+        max_step=st.sampled_from([math.inf, 0.3, 0.05]),
+        nan_at=st.one_of(st.none(), st.integers(2, 80)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rk45(self, problem, rel_tol, max_step, nan_at):
+        seed, m, linear, y0, t0, t_eval = problem
+        kwargs = dict(rel_tol=rel_tol, abs_tol=1e-3 * rel_tol, max_step=max_step, max_steps=20_000)
+        new = _outcome(solve_ode_rk45, _Field(seed, m, linear, nan_at), t0, y0, t_eval, **kwargs)
+        ref = _outcome(ref_solve_ode_rk45, _Field(seed, m, linear, nan_at), t0, y0, t_eval, **kwargs)
+        assert new == ref
+
+    def test_rk45_nan_stage_is_rejected_alike(self):
+        # the third call is stage 1 of the first attempt: one rejection each
+        args = (0.0, np.array([0.5, -0.25, 1.0]), np.array([0.0, 0.4, 1.0]))
+        new = _outcome(solve_ode_rk45, _Field(3, 3, False, nan_at=3), *args)
+        ref = _outcome(ref_solve_ode_rk45, _Field(3, 3, False, nan_at=3), *args)
+        assert new == ref and new[1]["rejected"] >= 1
+
+    @given(
+        problem=_problems(),
+        n_steps=st.integers(1, 300),
+        nan_at=st.one_of(st.none(), st.integers(1, 400)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rk4(self, problem, n_steps, nan_at):
+        seed, m, linear, y0, t0, t_eval = problem
+        new = _outcome(solve_ode_rk4, _Field(seed, m, linear, nan_at), t0, y0, t_eval, n_steps=n_steps)
+        ref = _outcome(ref_solve_ode_rk4, _Field(seed, m, linear, nan_at), t0, y0, t_eval, n_steps=n_steps)
+        assert new == ref
+
+
+class TestConstantJacobianKernel:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_array_jac_matches_callable(self, seed, n):
+        rng = np.random.default_rng(seed)
+        d = 2 * n
+        M = rng.normal(size=(d, d))
+        y = rng.normal(size=d + d * d)
+
+        def f(t, x):
+            return np.sin(x)
+
+        const = _augmented_rhs(f, M, d)(0.5, y)
+        called = _augmented_rhs(f, lambda t, x: M.copy(), d)(0.5, y)
+        assert const.tobytes() == called.tobytes()
+
+
+
+class _CountedHessian:
+    """A constant Hessian that counts its evaluations."""
+
+    def __init__(self, A):
+        self.A, self.calls = A, 0
+
+    def __call__(self, s):
+        self.calls += 1
+        return self.A
+
+
+def _quadratic_pair(A, hess_H=None):
+    """The same system with and without the quadratic mark."""
+    n = A.shape[0] // 2
+    grad = lambda s: A @ s.coords  # noqa: E731
+    hess = hess_H or (lambda s: A)
+    return (HamiltonianSystem(n, grad, hess, name="quadratic", quadratic=True),
+            HamiltonianSystem(n, grad, hess, name="general"))
+
+
+class TestQuadraticSystem:
+    """A system marked quadratic: Hess H is evaluated once per propagate and
+    the kernel gets the constant J Hess H, with the bits of the per-call path."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_rhs_matches_per_call_path(self, seed, n):
+        rng = np.random.default_rng(seed)
+        d = 2 * n
+        A = rng.normal(size=(d, d))
+        quad, general = _quadratic_pair(A + A.T)
+        state0 = PhaseState(rng.normal(size=d))
+        f, jac = _hamiltonian_field(quad, state0)
+        assert not callable(jac)
+        y = rng.normal(size=d + d * d)
+        a = _augmented_rhs(f, jac, d)(0.0, y)
+        b = _augmented_rhs(*_hamiltonian_field(general, state0), d)(0.0, y)
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    def test_propagate_is_bitwise_the_per_call_path(self, method):
+        coupled = builtin_system("coupled_oscillators", epsilon=0.3)
+        general = dataclasses.replace(coupled, quadratic=False)
+        settings = IntegratorSettings(method=method, n_steps=400)
+        x0, span = [0.3, 0.1, -0.2, 0.4], (0.0, -7.0)
+        a = propagate(coupled, x0, span, settings, samples=9)
+        b = propagate(general, x0, span, settings, samples=9)
+        for name in ("states", "stms", "residuals", "energy_drift"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.stats == b.stats
+
+    def test_hessian_is_evaluated_once_per_run_besides_the_check(self):
+        hess = _CountedHessian(np.diag([1.0, 2.0]))
+        quad, _ = _quadratic_pair(hess.A, hess)
+        traj = propagate(quad, [0.1, 0.2], (0.0, 3.0), samples=4)
+        assert traj.stats.rhs_evals > 10
+        assert hess.calls == 2  # the one-off shape/symmetry check, then J Hess H
+
+    @pytest.mark.filterwarnings("ignore:.*drift budget")
+    def test_bad_hessians_fail_as_on_the_per_call_path(self):
+        wide, wide_general = _quadratic_pair(np.eye(3)[:2, :2], lambda s: np.eye(3))
+        for sys in (wide, wide_general):
+            with pytest.raises(ValueError, match="hess_H returned shape"):
+                propagate(sys, [0.1, 0.2], (0.0, 1.0))
+        nan = np.array([[1.0, math.nan], [math.nan, 1.0]])
+        for sys in _quadratic_pair(np.eye(2), lambda s: nan):
+            with pytest.raises(IntegrationError, match="derivative not finite"):
+                propagate(sys, [0.1, 0.2], (0.0, 1.0))
+        skew = np.array([[1.0, 0.5], [0.0, 1.0]])
+        for sys in _quadratic_pair(skew):
+            with pytest.warns(RuntimeWarning, match="asymmetric by 5.000e-01"):
+                propagate(sys, [0.1, 0.2], (0.0, 1.0))
+
+
+class TestLongRunOracle:
+    """The quadratic builtins have the exact STM expm(t J Hess H)."""
+
+    @pytest.mark.parametrize(
+        "name, x0", [("harmonic_oscillator", [1.0, 0.0]), ("coupled_oscillators", [0.3, 0.1, -0.2, 0.4])]
+    )
+    def test_stm_against_matrix_exponential_to_t100(self, name, x0):
+        sys = builtin_system(name)
+        JH = structure_matrix(sys.n_pairs) @ sys.hessian(PhaseState(np.zeros(sys.dim)))
+        traj = propagate(sys, x0, (0.0, 100.0), IntegratorSettings(rel_tol=1e-10), samples=11)
+        errors = [np.max(np.abs(Phi - expm(t * JH))) for t, Phi in zip(traj.times, traj.stms)]
+        assert errors[0] == 0.0
+        assert max(errors) <= 1e-9

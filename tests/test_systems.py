@@ -112,6 +112,23 @@ class TestVariationalRhs:
             variational_rhs(bad, PhaseState([1.0, 1.0]), np.eye(2))
 
 
+class TestQuadraticMark:
+    def test_only_the_linear_builtins_are_marked(self):
+        assert builtin_system("harmonic_oscillator").quadratic
+        assert builtin_system("coupled_oscillators", epsilon=0.3).quadratic
+        assert not builtin_system("pendulum").quadratic
+        assert not HamiltonianSystem(n_pairs=1, grad_H=lambda s: s.coords).quadratic
+
+    @pytest.mark.parametrize("name", ["harmonic_oscillator", "coupled_oscillators"])
+    @given(x=arrays(float, 4, elements=st.floats(-1e3, 1e3)))
+    def test_marked_builtins_have_one_hessian(self, name, x):
+        # the gradient's Jacobian is the Hessian at the origin everywhere
+        sys = builtin_system(name)
+        x = x[: sys.dim]
+        H0 = sys.hessian(PhaseState(np.zeros(sys.dim)))
+        assert np.allclose(sys._fd_hessian(PhaseState(x)), H0, rtol=0, atol=1e-8)
+
+
 class TestArrayNativeCatalog:
     """The catalog's array forms against the scalar formulas they replaced."""
 
