@@ -53,7 +53,6 @@ from .invariants import (
 )
 from .propagation import _MIN_STEP, IntegrationError, IntegratorSettings, propagate
 from .rolling_disc import (
-    disc_projection_area,
     disc_propagate,
     open_loop_control,
     zero_projection_control,
@@ -718,108 +717,91 @@ def _control_from_config(spec):
     return tabulated_control(spec["times"], spec["u_values"], spec["v_values"])
 
 
-def _write_snapshots(cfg, path, header, times, image, default_half=0.5):
-    """Rows t, u, v, *image(t)(u, v) over the initial patch nodes, u-major; one table
-    per grid line u, as whole-grid columns per time raised peak RSS by 0.3 MB."""
+def _write_snapshots(cfg, path, header, times, at_times, image, default_half=0.5):
+    """Rows t, u, v, *image(u, v, a) over the initial patch nodes, u-major, for each t
+    in times and its entry a in at_times; one table per grid line u, as whole-grid
+    columns per time raised peak RSS by 0.3 MB."""
     bounds = cfg.get("snapshot_bounds", [[-default_half, default_half]] * 2)
     cells = cfg.get("snapshot_cells", [8, 8])
     us = np.linspace(bounds[0][0], bounds[0][1], cells[0] + 1)
     vs = np.linspace(bounds[1][0], bounds[1][1], cells[1] + 1)
 
     def tables():
-        for t in times:
-            at_t = image(t)
+        for t, a in zip(times, at_times):
             for u in us:
                 u_line = np.full(vs.size, u)
-                yield [np.full(vs.size, t), u_line, vs, *at_t(u_line, vs)]
+                yield [np.full(vs.size, t), u_line, vs, *image(u_line, vs, a)]
 
     sio.write_table(path, header, tables())
 
 
-def _example_heisenberg(cfg, snap_path: Path):
+def _example_heisenberg(cfg, t_final, times, snap_path: Path):
     ctrl = _control_from_config(cfg.get("control", {"family": "zero"}))
-    t_final = cfg.get("t_final", 1.0)
-    rel_tol = cfg.get("rel_tol", 1e-12)
-    m1 = moments(ctrl, t_final, rel_tol=rel_tol)
-    f_closed = heisenberg_cost(m1.mu, m1.nu, m1.alpha)
-    f_quad = _cost_quadrature(m1, cfg.get("quadrature_nodes", 16))
-    summary = {
-        "example": "heisenberg",
+    # one integration serves the final time and every snapshot time
+    m1, *at_times = moments(ctrl, [t_final, *times], rel_tol=cfg.get("rel_tol", 1e-12))
+
+    # evolving uncertainty surface: the flow image of an initial (X, Y) patch
+    _write_snapshots(cfg, snap_path, ["t", "u", "v", "x", "y", "z"], times, at_times, flow_from_moments)
+    return {
         "control": ctrl.name,
         "mu1": m1.mu,
         "nu1": m1.nu,
         "alpha1": m1.alpha,
         "alpha_residual": m1.alpha_residual,
-        "f_closed": f_closed,
-        "f_quadrature": f_quad,
-        "AD_minus_BC_max": None,
+        "f_closed": heisenberg_cost(m1.mu, m1.nu, m1.alpha),
+        "f_quadrature": _cost_quadrature(m1, cfg.get("quadrature_nodes", 16)),
     }
 
-    # evolving uncertainty surface: the flow image of an initial (X, Y) patch
-    times = cfg.get("snapshot_times", [0.0, 0.5 * t_final, t_final])
 
-    def flow(t):
-        m = moments(ctrl, float(t), rel_tol=rel_tol)
-        return lambda X, Y: flow_from_moments(X, Y, m)
-
-    _write_snapshots(cfg, snap_path, ["t", "u", "v", "x", "y", "z"], times, flow)
-    return summary
-
-
-def _example_disc(cfg, snap_path: Path):
+def _example_disc(cfg, t_final, times, snap_path: Path):
     spec = cfg.get("control", {"family": "zero"})
-    heis = _control_from_config(spec)
-    if spec.get("compliant", False):
+    heis, compliant = _control_from_config(spec), spec.get("compliant", False)
+    if compliant:
         ctrl = zero_projection_control(heis.u, heis.v)
     else:
-        w0 = spec.get("w", 0.0)
-        ctrl = open_loop_control(heis.u, heis.v, lambda t: w0)
-    t_final = cfg.get("t_final", 1.0)
-    q0 = np.asarray(cfg.get("initial_state", [0.0, 0.0, 0.0, 0.5 * math.pi, 0.0]), dtype=float)
-    samples = cfg.get("samples", 101)
-    times = cfg.get("snapshot_times", [0.0, 0.5 * t_final, t_final])
-    if any(t < 0 or t > t_final for t in times):
-        raise ConfigError("snapshot_times must lie inside [0, t_final]")
-    grid = np.linspace(0.0, t_final, samples)[:, None]
+        ctrl = open_loop_control(heis.u, heis.v, lambda t, w0=spec.get("w", 0.0): w0)
+    grid = np.linspace(0.0, t_final, cfg.get("samples", 101))[:, None]
     # keep the start; drop nodes nearer a snapshot time than the integrator's smallest step
     near = np.abs(grid - times) < _MIN_STEP * np.maximum(np.minimum(grid, times), 1.0)
     near[0] = False
     t_eval = np.unique(np.concatenate([grid[~near.any(axis=1), 0], times]))
     traj = disc_propagate(
-        ctrl,
-        q0,
-        (0.0, t_final),
-        rel_tol=cfg.get("rel_tol", 1e-11),
-        abs_tol=cfg.get("abs_tol", 1e-13),
-        t_eval=t_eval,
+        ctrl, cfg.get("initial_state", [0.0, 0.0, 0.0, 0.5 * math.pi, 0.0]), (0.0, t_final),
+        rel_tol=cfg.get("rel_tol", 1e-11), abs_tol=cfg.get("abs_tol", 1e-13), t_eval=t_eval,
     )
-    ad_bc = max(abs(disc_projection_area(traj.integrals[i])) for i in range(len(traj)))
-    summary = {
-        "example": "disc",
-        "control": heis.name + ("+compliant" if spec.get("compliant", False) else ""),
-        "mu1": None,
-        "nu1": None,
-        "alpha1": None,
-        "alpha_residual": None,
-        "f_closed": None,
-        "f_quadrature": None,
-        "AD_minus_BC_max": ad_bc,
-    }
 
     # contact-point shadow of an initial (phi, theta) uncertainty patch
-    def shadow(t):
-        A, B, C, D = traj.integrals[np.searchsorted(traj.times, t), :4]
-        return lambda du, dv: (A * du + C * dv, B * du + D * dv)
+    def shadow(du, dv, abcd):
+        a, b, c, d = abcd
+        return a * du + c * dv, b * du + d * dv
 
-    _write_snapshots(cfg, snap_path, ["t", "u", "v", "dx", "dy"], times, shadow, default_half=0.1)
-    return summary
+    at_times = traj.integrals[np.searchsorted(traj.times, times), :4]
+    _write_snapshots(cfg, snap_path, ["t", "u", "v", "dx", "dy"], times, at_times, shadow, default_half=0.1)
+    A, B, C, D = traj.integrals[:, :4].T
+    return {
+        "control": heis.name + ("+compliant" if compliant else ""),
+        "AD_minus_BC_max": float(np.max(np.abs(A * D - B * C))),
+    }
+
+
+# the summary keys; each example fills its own and leaves the rest null
+_SUMMARY_KEYS = ("example", "control", "mu1", "nu1", "alpha1", "alpha_residual",
+                 "f_closed", "f_quadrature", "AD_minus_BC_max")
 
 
 def cmd_example(cfg, args, outdir: Path) -> int:
     base = cfg.get("output", cfg["example"])
     snap_path = outdir / f"{base}_snapshots.csv"
+    t_final = cfg.get("t_final", 1.0)
+    times = cfg.get("snapshot_times", [0.0, 0.5 * t_final, t_final])
+    if any(t < 0 or t > t_final for t in times):
+        raise ConfigError("snapshot_times must lie inside [0, t_final]")
     example = _example_heisenberg if cfg["example"] == "heisenberg" else _example_disc
-    summary = example(cfg, snap_path)
+    summary = {
+        **dict.fromkeys(_SUMMARY_KEYS),
+        "example": cfg["example"],
+        **example(cfg, t_final, times, snap_path),
+    }
     path = outdir / f"{base}_summary.json"
     sio.write_json(summary, path)
     printable = {

@@ -8,6 +8,9 @@ through its closed-form flow and the quadratic uncertainty-volume cost
 
 with global minimum 8/3 at (mu, nu, alpha) = (0, 0, 1), where mu, nu, alpha
 are the control moments mu = int u, nu = int v, alpha = int (nu u - mu v).
+
+moments() integrates the three functionals once from 0 for any number of
+requested times; the flow, the STM and the cost are closed forms in them.
 """
 from __future__ import annotations
 
@@ -140,20 +143,24 @@ class Moments:
     alpha_residual: float  # |alpha - alpha_quadrature|
 
 
-def moments(ctrl: HeisenbergControl, t: float, rel_tol: float = 1e-12) -> Moments:
-    """Integrate the moment functionals mu, nu, alpha from 0 to t."""
-    if t == 0.0:
-        alpha0 = float(ctrl.alpha_fn(0.0)) if ctrl.alpha_fn is not None else 0.0
-        return Moments(0.0, 0.0, 0.0, alpha0, 0.0, abs(alpha0))
-
-    rates = _moment_rates(ctrl)
-    Y, _ = solve_ode_rk45(rates, 0.0, np.zeros(3), np.array([0.0, t]), rel_tol=rel_tol, abs_tol=1e-14)
-    mu, nu, alpha_quad = (float(x) for x in Y[-1])
-    if ctrl.alpha_fn is not None:
-        alpha = float(ctrl.alpha_fn(t))
-    else:
-        alpha = alpha_quad
-    return Moments(t, mu, nu, alpha, alpha_quad, abs(alpha - alpha_quad))
+def moments(ctrl: HeisenbergControl, t, rel_tol: float = 1e-12) -> Moments | list[Moments]:
+    """Integrate the moment functionals mu, nu, alpha from 0 to t, one time or
+    a sequence of times, each >= 0 (else ValueError).  A sequence gets one
+    Moments per entry, in its order, from a single integration over the sorted
+    distinct nodes {0} and t; nodes nearer each other than the integrator's
+    smallest step fail with an IntegrationError (step size underflow)."""
+    times = np.asarray(t, dtype=float).ravel() + 0.0  # + 0.0 turns -0.0 into 0.0
+    if not np.all(times >= 0.0):
+        raise ValueError(f"moment times must be >= 0, got {t}")
+    nodes = np.unique(np.append(times, 0.0))
+    Y = np.zeros((1, 3))
+    if nodes.size > 1:
+        Y, _ = solve_ode_rk45(_moment_rates(ctrl), 0.0, np.zeros(3), nodes, rel_tol=rel_tol, abs_tol=1e-14)
+    out = []
+    for s, (mu, nu, alpha_quad) in zip(times.tolist(), Y[np.searchsorted(nodes, times)].tolist()):
+        alpha = float(ctrl.alpha_fn(s)) if ctrl.alpha_fn is not None else alpha_quad
+        out.append(Moments(s, mu, nu, alpha, alpha_quad, abs(alpha - alpha_quad)))
+    return out if np.ndim(t) else out[0]
 
 
 def flow_from_moments(X: float, Y: float, m: Moments):

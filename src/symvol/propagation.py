@@ -224,13 +224,15 @@ def solve_ode_rk4(
     y0: np.ndarray,
     t_eval: np.ndarray,
     n_steps: int = 1000,
+    max_steps: int = 10_000_000,
 ):
     """Classical fixed-step RK4, hitting every t_eval node exactly.
 
     The n_steps budget is distributed over the sample intervals in proportion
-    to their length (at least one step per interval).  Runs with identical
-    inputs are bit-for-bit reproducible.  As in solve_ode_rk45, the y handed
-    to f is a work buffer that f must not keep.
+    to their length (at least one step per interval); if the distributed
+    steps exceed max_steps the solve fails before its first step.  Runs with
+    identical inputs are bit-for-bit reproducible.  As in solve_ode_rk45, the
+    y handed to f is a work buffer that f must not keep.
     """
     y0 = np.asarray(y0, dtype=float)
     t_eval = np.asarray(t_eval, dtype=float)
@@ -241,16 +243,21 @@ def solve_ode_rk4(
     if span == 0:
         raise ValueError("degenerate time span")
 
+    subs = [max(1, int(round(n_steps * abs(tb - ta) / span))) for ta, tb in zip(nodes, nodes[1:])]
+    total_sub = sum(subs)
+    if total_sub > max_steps:
+        raise IntegrationError(
+            f"step budget {max_steps} exceeded: the rk4 grid needs {total_sub} steps"
+        )
+
     m = y0.size
     out = np.empty((len(nodes), m))
     out[0] = y0
     k = np.empty((4, m))
     y, stage, acc = y0.copy(), np.empty(m), np.empty(m)
     n_rhs = 0
-    total_sub = 0
-    for i in range(1, len(nodes)):
+    for i, sub in enumerate(subs, start=1):
         ta, tb = nodes[i - 1], nodes[i]
-        sub = max(1, int(round(n_steps * abs(tb - ta) / span)))
         h = (tb - ta) / sub
         t = ta
         for _ in range(sub):
@@ -274,7 +281,6 @@ def solve_ode_rk4(
             y += acc
             t += h
             n_rhs += 4
-        total_sub += sub
         if not _finite(y):
             raise IntegrationError(f"solution not finite at t = {tb}")
         out[i] = y
@@ -287,8 +293,9 @@ class IntegratorSettings:
     """Integration controls.
 
     method is "rk45" (adaptive) or "rk4" (fixed step, n_steps over the whole
-    span).  residual_budget is the symplecticity drift the run is expected to
-    stay under; exceedances are counted and warned about, never repaired.
+    span); max_steps bounds the steps of either.  residual_budget is the
+    symplecticity drift the run is expected to stay under; exceedances are
+    counted and warned about, never repaired.
     """
 
     method: str = "rk45"
@@ -360,7 +367,9 @@ def _co_integrate(f, jac, x0, t_eval, settings: IntegratorSettings):
             max_step=settings.max_step, max_steps=settings.max_steps,
         )
     else:
-        Y, raw = solve_ode_rk4(rhs, t_eval[0], y0, t_eval, n_steps=settings.n_steps)
+        Y, raw = solve_ode_rk4(
+            rhs, t_eval[0], y0, t_eval, n_steps=settings.n_steps, max_steps=settings.max_steps
+        )
     if not np.isfinite(Y).all():
         raise IntegrationError("propagation produced non-finite samples")
     return Y[:, :d], Y[:, d:].reshape(-1, d, d).transpose(0, 2, 1).copy(), raw

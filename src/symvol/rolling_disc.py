@@ -11,9 +11,13 @@ Euler angles.  The flow is affine in the controls (u, v, w):
 
 The STM has closed form in six quadratures A..F; assembling it and
 co-integrating Phi-dot = (df/dq) Phi must agree, which pins both to the same
-coefficient matrix.  A control law with u cot(theta) - w = 0 keeps A and B
-identically zero, so the (phi, theta) uncertainty casts a zero-area shadow
-on the contact-point plane for all time.
+coefficient matrix.  One private function writes q-dot and the nonzero
+entries of that matrix; the state equations, the cross-check Jacobian and
+the quadrature rates of disc_propagate all read them from it.
+
+A control law with u cot(theta) - w = 0 keeps A and B identically zero, so
+the (phi, theta) uncertainty casts a zero-area shadow on the contact-point
+plane for all time.
 """
 from __future__ import annotations
 
@@ -114,38 +118,35 @@ def _guard_theta(theta: float, t: float):
         )
 
 
-def disc_rhs(t: float, q, ctrl) -> np.ndarray:
-    """State equations q-dot = f(q, u(t, q))."""
-    q = np.asarray(q, dtype=float)
-    _guard_theta(q[3], t)
-    u, v, w = ctrl(t, q)
-    st, ct = math.sin(q[3]), math.cos(q[3])
-    cot, csc = ct / st, 1.0 / st
-    cph, sph = math.cos(q[2]), math.sin(q[2])
-    return np.array(
-        [
-            u * cot * cph - w * cph,
-            u * cot * sph - w * sph,
-            u * csc,
-            v,
-            -u * cot + w,
-        ]
-    )
-
-
-def _coefficient_matrix(q, u, w) -> np.ndarray:
-    """The STM coefficient matrix df/dq (state order x, y, phi, theta, psi)."""
+def _field(q, u, v, w):
+    """q-dot and the six nonzero entries (M02, M12, M03, M13, M23, M43) of
+    the coefficient matrix M = df/dq at q under the controls (u, v, w); the
+    one place the state equations and their Jacobian are written."""
     st, ct = math.sin(q[3]), math.cos(q[3])
     cot, csc = ct / st, 1.0 / st
     cph, sph = math.cos(q[2]), math.sin(q[2])
     slip = u * cot - w
+    qdot = (u * cot * cph - w * cph, u * cot * sph - w * sph, u * csc, v, -u * cot + w)
+    m = (-slip * sph, slip * cph, u * csc * csc * cph, u * csc * csc * sph, -u * cot * csc, -u * csc * csc)
+    return qdot, m
+
+
+# (row, column) of the entries _field returns, state order x, y, phi, theta, psi
+_M_ENTRIES = ((0, 1, 0, 1, 2, 4), (2, 2, 3, 3, 3, 3))
+
+
+def disc_rhs(t: float, q, ctrl) -> np.ndarray:
+    """State equations q-dot = f(q, u(t, q))."""
+    q = np.asarray(q, dtype=float)
+    _guard_theta(q[3], t)
+    return np.array(_field(q, *ctrl(t, q))[0])
+
+
+def _coefficient_matrix(q, u, w) -> np.ndarray:
+    """The STM coefficient matrix df/dq (state order x, y, phi, theta, psi);
+    v enters no entry."""
     M = np.zeros((5, 5))
-    M[0, 2] = -slip * sph
-    M[0, 3] = u * csc * csc * cph
-    M[1, 2] = slip * cph
-    M[1, 3] = u * csc * csc * sph
-    M[2, 3] = -u * cot * csc
-    M[4, 3] = -u * csc * csc
+    M[_M_ENTRIES] = _field(q, u, 0.0, w)[1]
     return M
 
 
@@ -198,23 +199,11 @@ def disc_propagate(
     def rhs(t, y):
         q = y[:5]
         _guard_theta(q[3], t)
-        u, v, w = ctrl(t, q)
-        st, ct = math.sin(q[3]), math.cos(q[3])
-        cot, csc = ct / st, 1.0 / st
-        cph, sph = math.cos(q[2]), math.sin(q[2])
-        slip = u * cot - w
+        qdot, (m02, m12, m03, m13, m23, m43) = _field(q, *ctrl(t, q))
+        # A..F integrate the STM entries; C and D ride on the accumulated E,
+        # per the assembled-STM structure
         E = y[9]
-        dA = -slip * sph
-        dB = slip * cph
-        # C and D ride on the accumulated E, per the assembled-STM structure
-        dC = dA * E + u * csc * csc * cph
-        dD = dB * E + u * csc * csc * sph
-        dE = -u * cot * csc
-        dF = -u * csc * csc
-        return np.array(
-            [u * cot * cph - w * cph, u * cot * sph - w * sph, u * csc, v, -u * cot + w,
-             dA, dB, dC, dD, dE, dF]
-        )
+        return np.array([*qdot, m02, m12, m02 * E + m03, m12 * E + m13, m23, m43])
 
     y0 = np.concatenate([q0, np.zeros(6)])
     Y, _ = solve_ode_rk45(rhs, t0, y0, np.asarray(t_eval, dtype=float), rel_tol=rel_tol, abs_tol=abs_tol)

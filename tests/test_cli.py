@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symvol import heisenberg
 from symvol.cli import main
 from symvol.heisenberg import constant_control, moments
 from symvol.invariants import (
@@ -20,7 +22,7 @@ from symvol.invariants import (
     wirtinger_check,
 )
 from symvol.io import fmt, invariant_report_to_csv, load_trajectory, trajectory_to_json, write_json
-from symvol.propagation import IntegratorStats, Trajectory
+from symvol.propagation import IntegratorStats, Trajectory, solve_ode_rk45
 from symvol.phase import pair_stack, symplecticity_residual
 from symvol.rolling_disc import disc_propagate, zero_projection_control
 
@@ -259,6 +261,16 @@ class TestPropagate:
         code, out2 = run(tmp_path, "propagate", cfg)
         assert code == 0
         assert (out2 / "trajectory.csv").read_bytes() == first
+
+    def test_rk4_over_the_step_budget_fails_before_stepping(self, tmp_path, capsys):
+        # at about 40 us per step the 1e8-step grid would run for over an hour
+        cfg = {**_PROPAGATE, "integrator": {"method": "rk4", "n_steps": 100_000_000, "max_steps": 1000}}
+        start = time.perf_counter()
+        code, out = run(tmp_path, "propagate", cfg)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "step budget 1000 exceeded" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
 
 
 class TestInvariants:
@@ -738,8 +750,8 @@ class TestExample:
         assert code == 0
         lines = ["t,u,v,x,y,z"]
         ctrl = constant_control(0.7, -0.2)
-        for t in times:
-            m = moments(ctrl, t)
+        # one integration over t_final and the snapshot times, as the command makes it
+        for t, m in zip(times, moments(ctrl, [1.0, *times])[1:]):
             for X in us:
                 for Y in vs:
                     x, y = X + m.mu, Y + m.nu
@@ -762,6 +774,44 @@ class TestExample:
                     dx, dy = A * du + C * dv, B * du + D * dv
                     lines.append(",".join(fmt(v) for v in (t, du, dv, dx, dy)))
         assert (out / "disc_snapshots.csv").read_text() == "\n".join(lines) + "\n"
+
+    def test_heisenberg_snapshot_outside_the_run_is_a_config_error(self, tmp_path, capsys):
+        code, out = run(
+            tmp_path,
+            "example",
+            {"example": "heisenberg", "t_final": 1.0, "snapshot_times": [2.0]},
+        )
+        assert code == 2
+        assert "snapshot_times must lie inside [0, t_final]" in capsys.readouterr().err
+        assert not (out / "heisenberg_summary.json").exists()
+
+    def test_heisenberg_snapshot_an_ulp_from_another_node_is_an_integration_failure(
+        self, tmp_path, capsys
+    ):
+        # one ulp below t_final: too close to step between in the one integration
+        cfg = {"example": "heisenberg", "t_final": 1.0, "snapshot_times": [math.nextafter(1.0, 0.0)]}
+        code, _ = run(tmp_path, "example", cfg)
+        assert code == 3
+        assert "step size underflow" in capsys.readouterr().err
+
+    def test_heisenberg_makes_one_integration(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3].tolist())
+            return solve_ode_rk45(*args, **kwargs)
+
+        monkeypatch.setattr(heisenberg, "solve_ode_rk45", counted)
+        cfg = {
+            "example": "heisenberg",
+            "control": {"family": "fourier", "u0": 0.2, "u_cos": [0.3], "u_sin": [0.1],
+                        "v_cos": [0.0], "v_sin": [-0.4]},
+            "t_final": 1.5,
+            "snapshot_times": [1.0, 0.0, 0.25, 1.0, 1.5],
+        }
+        code, _ = run(tmp_path, "example", cfg)
+        assert code == 0
+        assert calls == [[0.0, 0.25, 1.0, 1.5]]
 
     def test_snapshot_times_validated(self, tmp_path, capsys):
         code, _ = run(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from symvol.heisenberg import (
@@ -20,14 +22,17 @@ from symvol.heisenberg import (
     tabulated_control,
     zero_control,
 )
-from symvol.propagation import IntegrationError
+from symvol.propagation import IntegrationError, solve_ode_rk45
 from symvol.rolling_disc import (
     DiscSingularityError,
     DiscState,
     DiscStmIntegrals,
+    _coefficient_matrix,
+    _guard_theta,
     assemble_disc_stm,
     disc_projection_area,
     disc_propagate,
+    disc_rhs,
     disc_stm_integrated,
     open_loop_control,
     zero_projection_control,
@@ -107,6 +112,60 @@ class TestMoments:
     def test_time_zero(self):
         m = moments(bloch_control(), 0.0)
         assert (m.mu, m.nu) == (0.0, 0.0)
+
+
+_TIMES = st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0, 1.3]), min_size=1, max_size=4)
+
+
+@st.composite
+def _heisenberg_controls(draw):
+    """A seeded Fourier control (1-3 harmonics) or the Bloch control, whose
+    stated alpha differs from the quadrature."""
+    if draw(st.booleans()):
+        return bloch_control()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_fourier(rng, scale=0.5, harmonics=draw(st.integers(1, 3)))
+
+
+class TestMomentsAtManyTimes:
+    """One integration over every requested time agrees with a separate
+    integration per time, to rounding."""
+
+    @given(ctrl=_heisenberg_controls(), times=_TIMES)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_per_time_calls(self, ctrl, times):
+        together = moments(ctrl, times)
+        assert [m.t for m in together] == times
+        for t, m in zip(times, together):
+            alone = moments(ctrl, t)
+            for field in ("mu", "nu", "alpha", "alpha_quadrature", "alpha_residual"):
+                a, b = getattr(m, field), getattr(alone, field)
+                assert abs(a - b) <= 1e-13 * max(1.0, abs(b)), (t, field, a, b)
+
+    def test_unsorted_duplicate_and_zero_times(self):
+        ctrl = random_fourier(np.random.default_rng(4), scale=0.5)
+        ms = moments(ctrl, [0.5, 0.0, 0.5, 0.25, 0.0])
+        assert [m.t for m in ms] == [0.5, 0.0, 0.5, 0.25, 0.0]
+        assert ms[0] == ms[2] and ms[1] == ms[4]
+        assert (ms[1].mu, ms[1].nu, ms[1].alpha, ms[1].alpha_residual) == (0.0, 0.0, 0.0, 0.0)
+        assert moments(ctrl, [0.0, 0.0]) == [moments(ctrl, 0.0)] * 2
+        assert moments(bloch_control(), [0.0]) == [moments(bloch_control(), 0.0)]
+
+    def test_constant_control_closed_form(self):
+        times = [1.5, 0.2, 0.0, 0.9]
+        for t, m in zip(times, moments(constant_control(2.0, -1.0), times)):
+            assert m.mu == pytest.approx(2.0 * t, abs=1e-12)
+            assert m.nu == pytest.approx(-t, abs=1e-12)
+            assert m.alpha == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [-0.1, [0.5, -1e-3], math.nan])
+    def test_negative_time_rejected(self, t):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            moments(zero_control(), t)
+
+    def test_times_nearer_than_the_smallest_step_fail(self):
+        with pytest.raises(IntegrationError, match="step size underflow"):
+            moments(constant_control(1.0, 0.0), [0.5, 1e-17])
 
 
 class TestFlowAndStm:
@@ -241,6 +300,132 @@ class TestDiscPropagation:
 
     def test_guard_error_is_integration_error(self):
         assert issubclass(DiscSingularityError, IntegrationError)
+
+
+def ref_disc_rhs(t, q, ctrl):
+    q = np.asarray(q, dtype=float)
+    _guard_theta(q[3], t)
+    u, v, w = ctrl(t, q)
+    st_, ct = math.sin(q[3]), math.cos(q[3])
+    cot, csc = ct / st_, 1.0 / st_
+    cph, sph = math.cos(q[2]), math.sin(q[2])
+    return np.array([u * cot * cph - w * cph, u * cot * sph - w * sph, u * csc, v, -u * cot + w])
+
+
+def ref_coefficient_matrix(q, u, w):
+    st_, ct = math.sin(q[3]), math.cos(q[3])
+    cot, csc = ct / st_, 1.0 / st_
+    cph, sph = math.cos(q[2]), math.sin(q[2])
+    slip = u * cot - w
+    M = np.zeros((5, 5))
+    M[0, 2] = -slip * sph
+    M[0, 3] = u * csc * csc * cph
+    M[1, 2] = slip * cph
+    M[1, 3] = u * csc * csc * sph
+    M[2, 3] = -u * cot * csc
+    M[4, 3] = -u * csc * csc
+    return M
+
+
+def ref_disc_propagate(ctrl, q0, t_span, rel_tol=1e-11, abs_tol=1e-13, samples=101, t_eval=None):
+    """disc_propagate with its own inline 11-component RHS, as it stood
+    before the state equations and quadrature rates shared one function."""
+    q0 = np.asarray(q0, dtype=float)
+    _guard_theta(q0[3], float(t_span[0]))
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if t_eval is None:
+        t_eval = np.linspace(t0, t1, samples)
+
+    def rhs(t, y):
+        q = y[:5]
+        _guard_theta(q[3], t)
+        u, v, w = ctrl(t, q)
+        st_, ct = math.sin(q[3]), math.cos(q[3])
+        cot, csc = ct / st_, 1.0 / st_
+        cph, sph = math.cos(q[2]), math.sin(q[2])
+        slip = u * cot - w
+        E = y[9]
+        dA = -slip * sph
+        dB = slip * cph
+        dC = dA * E + u * csc * csc * cph
+        dD = dB * E + u * csc * csc * sph
+        dE = -u * cot * csc
+        dF = -u * csc * csc
+        return np.array(
+            [u * cot * cph - w * cph, u * cot * sph - w * sph, u * csc, v, -u * cot + w,
+             dA, dB, dC, dD, dE, dF]
+        )
+
+    y0 = np.concatenate([q0, np.zeros(6)])
+    Y, _ = solve_ode_rk45(rhs, t0, y0, np.asarray(t_eval, dtype=float), rel_tol=rel_tol, abs_tol=abs_tol)
+    return Y[:, :5], Y[:, 5:]
+
+
+class _CountedControl:
+    def __init__(self, ctrl):
+        self.ctrl, self.calls = ctrl, 0
+
+    def __call__(self, t, q):
+        self.calls += 1
+        return self.ctrl(t, q)
+
+
+@st.composite
+def _disc_controls(draw):
+    """A constant, Fourier open-loop or compliant (w = u cot theta) control."""
+    kind = draw(st.sampled_from(["constant", "fourier", "compliant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "constant":
+        u, v, w = rng.uniform(-1.0, 1.0), rng.uniform(-0.3, 0.3), rng.uniform(-1.0, 1.0)
+        return open_loop_control(lambda t: u, lambda t: v, lambda t: w)
+    heis = random_fourier(rng, scale=0.3, harmonics=draw(st.integers(1, 3)))
+    if kind == "compliant":
+        return zero_projection_control(heis.u, heis.v)
+    w = rng.uniform(-1.0, 1.0)
+    return open_loop_control(heis.u, heis.v, lambda t: w)
+
+
+class TestDiscMatchesReference:
+    """The state equations, the Jacobian and the quadrature rates written
+    once give the bits of the three copies they replaced."""
+
+    @given(
+        ctrl=_disc_controls(),
+        q=st.tuples(*[st.floats(-3.0, 3.0)] * 3, st.floats(0.2, 2.9), st.floats(-3.0, 3.0)),
+        t=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rhs_and_coefficient_matrix(self, ctrl, q, t):
+        q = np.array(q)
+        assert disc_rhs(t, q, ctrl).tobytes() == ref_disc_rhs(t, q, ctrl).tobytes()
+        u, _, w = ctrl(t, q)
+        assert _coefficient_matrix(q, u, w).tobytes() == ref_coefficient_matrix(q, u, w).tobytes()
+
+    @given(
+        ctrl=_disc_controls(),
+        theta0=st.floats(0.6, 2.5),
+        phi0=st.floats(-3.0, 3.0),
+        t0=st.sampled_from([0.0, -0.5, 1.25]),
+        span=st.sampled_from([0.4, 1.0, -0.7, -1.5]),
+        samples=st.integers(2, 12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_propagate(self, ctrl, theta0, phi0, t0, span, samples):
+        q0 = [0.1, -0.2, phi0, theta0, 0.3]
+        new_ctrl, ref_ctrl = _CountedControl(ctrl), _CountedControl(ctrl)
+        try:
+            traj = disc_propagate(new_ctrl, q0, (t0, t0 + span), samples=samples)
+            new = (traj.states.tobytes(), traj.integrals.tobytes())
+        except IntegrationError as exc:
+            new = ("error", str(exc))
+        try:
+            states, integrals = ref_disc_propagate(ref_ctrl, q0, (t0, t0 + span), samples=samples)
+            ref = (states.tobytes(), integrals.tobytes())
+        except IntegrationError as exc:
+            ref = ("error", str(exc))
+        assert new == ref
+        # one control evaluation per RHS evaluation, as in the reference
+        assert new_ctrl.calls == ref_ctrl.calls
 
 
 class TestZeroProjectionLaw:

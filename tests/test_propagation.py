@@ -115,6 +115,21 @@ class TestSolveOdeRk4:
         b, _ = solve_ode_rk4(*args, n_steps=777)
         assert np.array_equal(a, b)
 
+    def test_step_budget(self):
+        # round(777 / 8) = 97 steps on each of the 8 intervals: 776 in all
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return np.sin(t) - y
+
+        args = (f, 0.0, np.array([0.3]), np.linspace(0, 4, 9))
+        with pytest.raises(IntegrationError, match="step budget 775 exceeded: the rk4 grid needs 776 steps"):
+            solve_ode_rk4(*args, n_steps=777, max_steps=775)
+        assert calls == []
+        _, stats = solve_ode_rk4(*args, n_steps=777, max_steps=776)
+        assert stats["steps"] == 776
+
 
 class TestIntegratorSettings:
     def test_defaults(self):
