@@ -86,12 +86,11 @@ def bloch_control() -> HeisenbergControl:
 def fourier_control(u0, u_cos, u_sin, v0, v_cos, v_sin, name="fourier") -> HeisenbergControl:
     """Truncated Fourier controls: u(t) = u0 + sum_m (a_m cos(2 pi m t) +
     b_m sin(2 pi m t)), likewise v; used as a smooth random family."""
-    u_cos = np.asarray(u_cos, dtype=float)
-    u_sin = np.asarray(u_sin, dtype=float)
-    v_cos = np.asarray(v_cos, dtype=float)
-    v_sin = np.asarray(v_sin, dtype=float)
 
-    def make(c0, ac, bs):
+    def make(c0, ac, bs, field):
+        ac, bs = np.asarray(ac, dtype=float), np.asarray(bs, dtype=float)
+        if ac.size != bs.size:
+            raise ValueError(f"{field}_cos and {field}_sin differ in length ({ac.size} vs {bs.size})")
         ms = np.arange(1, ac.size + 1)
 
         def f(t):
@@ -100,7 +99,7 @@ def fourier_control(u0, u_cos, u_sin, v0, v_cos, v_sin, name="fourier") -> Heise
 
         return f
 
-    return HeisenbergControl(make(u0, u_cos, u_sin), make(v0, v_cos, v_sin), name=name)
+    return HeisenbergControl(make(u0, u_cos, u_sin, "u"), make(v0, v_cos, v_sin, "v"), name=name)
 
 
 def tabulated_control(ts, us, vs, name="tabulated") -> HeisenbergControl:

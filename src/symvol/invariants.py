@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .phase import pair_projection, pair_stack, structure_matrix, symplecticity_residual
+from .phase import _as_stm, pair_projection, pair_stack, structure_matrix, symplecticity_residual
 
 __all__ = [
     "subdeterminant",
@@ -39,15 +39,6 @@ __all__ = [
     "random_symplectic",
     "pair_subsets",
 ]
-
-
-def _as_stm(Phi, stack: bool = False) -> np.ndarray:
-    """Phi as a float 2n x 2n array, or a (..., 2n, 2n) stack if allowed."""
-    Phi = np.asarray(Phi, dtype=float)
-    shaped = Phi.ndim == 2 or (stack and Phi.ndim > 2)
-    if not shaped or Phi.shape[-1] != Phi.shape[-2] or Phi.shape[-1] % 2 != 0:
-        raise ValueError("expected a square matrix of even dimension")
-    return Phi
 
 
 def _as_vector_set(vs, stack: bool = False) -> np.ndarray:

@@ -183,16 +183,11 @@ def load_trajectory(path) -> Trajectory:
     path = Path(path)
     if path.suffix.lower() == ".json":
         obj = read_json(path)
-        times = np.asarray(obj["times"], dtype=float)
-        states = np.asarray(obj["states"], dtype=float)
         stms = np.asarray(obj["stms"], dtype=float)
-        drift = np.asarray(
-            [math.nan if v is None else float(v) for v in obj["energy_drift"]]
-        )
-        residuals = np.array([symplecticity_residual(M) for M in stms])
+        drift = [math.nan if v is None else float(v) for v in obj["energy_drift"]]
         return Trajectory(
-            obj.get("system", "loaded"), times, states, stms, residuals, drift,
-            _loaded_stats(obj.get("stats")),
+            obj.get("system", "loaded"), obj["times"], obj["states"], stms,
+            symplecticity_residual(stms), drift, _loaded_stats(obj.get("stats")),
         )
 
     with open(path, newline="") as fh:
@@ -208,11 +203,11 @@ def load_trajectory(path) -> Trajectory:
     if data.shape[1:] != (len(header),):
         raise ValueError(f"{path}: rows do not match the header")
     dim = 2 * n_pairs
-    times, states = data[:, 0], data[:, 1 : 1 + dim]
+    times, states, drift = data[:, 0], data[:, 1 : 1 + dim], data[:, -1]
     stms = data[:, 1 + dim : 1 + dim + dim * dim].reshape(-1, dim, dim)
-    drift = data[:, -1]
-    residuals = np.array([symplecticity_residual(M) for M in stms])
-    return Trajectory("loaded", times, states, stms, residuals, drift, _loaded_stats())
+    return Trajectory(
+        "loaded", times, states, stms, symplecticity_residual(stms), drift, _loaded_stats()
+    )
 
 
 def save_matrix(M, path):

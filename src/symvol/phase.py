@@ -123,13 +123,22 @@ def pair_stack(pairs, n_pairs: int) -> np.ndarray:
     return np.hstack([pair_projection(i, n_pairs) for i in pairs])
 
 
-def symplecticity_residual(Phi) -> float:
-    """Max-abs-entry of Phi^T J Phi - J; zero iff Phi is exactly symplectic."""
+def _as_stm(Phi, stack: bool = False) -> np.ndarray:
+    """Phi as a float 2n x 2n array, or a (..., 2n, 2n) stack if allowed."""
     Phi = np.asarray(Phi, dtype=float)
-    if Phi.ndim != 2 or Phi.shape[0] != Phi.shape[1] or Phi.shape[0] % 2 != 0:
+    shaped = Phi.ndim == 2 or (stack and Phi.ndim > 2)
+    if not shaped or Phi.shape[-1] != Phi.shape[-2] or Phi.shape[-1] % 2 != 0:
         raise ValueError("expected a square matrix of even dimension")
-    J = structure_matrix(Phi.shape[0] // 2)
-    return float(np.max(np.abs(Phi.T @ J @ Phi - J)))
+    return Phi
+
+
+def symplecticity_residual(Phi):
+    """Max-abs-entry of Phi^T J Phi - J; zero iff Phi is exactly symplectic.
+    A float for one 2n x 2n matrix, an array (...) for a (..., 2n, 2n) stack."""
+    Phi = _as_stm(Phi, stack=True)
+    J = structure_matrix(Phi.shape[-1] // 2)
+    res = np.max(np.abs(np.swapaxes(Phi, -1, -2) @ J @ Phi - J), axis=(-2, -1))
+    return float(res) if Phi.ndim == 2 else res
 
 
 def is_symplectic(Phi, tol: float = 1e-8) -> bool:

@@ -520,7 +520,7 @@ def propagate(
     f, jac = _hamiltonian_field(sys, state0)
     states, stms, raw = _co_integrate(f, jac, state0.coords, t_eval, settings)
     m = t_eval.size
-    residuals = np.array([symplecticity_residual(M) for M in stms])
+    residuals = symplecticity_residual(stms)
 
     if sys.hamiltonian is not None:
         e0 = float(sys.hamiltonian(state0))

@@ -45,8 +45,9 @@ class CausticError(ValueError):
 class SurfaceParam:
     """A 2k-dimensional parametrized surface patch in 2n phase coordinates.
 
-    embed maps a parameter point (length 2k) to phase coordinates (length
-    2n); jacobian returns the exact 2n x 2k tangent frame at that point.
+    embed and jacobian take a stack of parameter points (..., 2k) and return
+    phase coordinates (..., 2n) and exact tangent frames (..., 2n, 2k); one
+    point is the () stack, and the grid walk passes whole blocks of cells.
     bounds/cells fix the rectangular parameter grid used by quadratures.
     anchor is the reference phase point (length 2n) for linear maps applied
     to surface deviations.  parasymplectic declares that the pullback of the
@@ -111,10 +112,10 @@ def linear_surface(L, bounds, cells, anchor=None, name: str = "") -> SurfacePara
     anchor = np.zeros(2 * n_pairs) if anchor is None else np.asarray(anchor, dtype=float)
 
     def embed(u):
-        return anchor + L @ np.asarray(u, dtype=float)
+        return anchor + (L @ np.asarray(u, dtype=float)[..., None])[..., 0]
 
     def jac(u):
-        return L.copy()
+        return np.broadcast_to(L, np.shape(u)[:-1] + L.shape).copy()
 
     return SurfaceParam(
         k=L.shape[1] // 2, n_pairs=n_pairs, bounds=tuple(bounds), cells=tuple(cells),
@@ -177,11 +178,15 @@ def _per_cell(s: SurfaceParam, fn) -> np.ndarray:
     embedded cell centers (b, 2n) and tangent frames (b, 2n, 2k) in, per-cell
     results along the first axis out, concatenated in cell order."""
     centers = s.cell_centers()
+    dim, width = 2 * s.n_pairs, 2 * s.k
     out = []
     for start in range(0, len(centers), _BLOCK):
         block = centers[start : start + _BLOCK]
-        points = np.array([s.embed(u) for u in block], dtype=float)
-        frames = np.array([s.jacobian(u) for u in block], dtype=float)
+        points = np.asarray(s.embed(block), dtype=float)
+        frames = np.asarray(s.jacobian(block), dtype=float)
+        if points.shape != (len(block), dim) or frames.shape != (len(block), dim, width):
+            raise ValueError(f"embed and jacobian must map (b, {width}) points to (b, {dim}) and "
+                             f"(b, {dim}, {width}), got {points.shape} and {frames.shape}")
         out.append(fn(points, frames))
     return np.concatenate(out)
 

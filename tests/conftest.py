@@ -41,7 +41,7 @@ def compose_surface(s: SurfaceParam, Phi: np.ndarray) -> SurfaceParam:
     Phi = np.asarray(Phi, dtype=float)
 
     def embed(uv):
-        return s.anchor + Phi @ (s.embed(uv) - s.anchor)
+        return s.anchor + (Phi @ (s.embed(uv) - s.anchor)[..., None])[..., 0]
 
     def jac(uv):
         return Phi @ s.jacobian(uv)

@@ -813,6 +813,21 @@ class TestExample:
         assert code == 0
         assert calls == [[0.0, 0.25, 1.0, 1.5]]
 
+    @pytest.mark.parametrize("example", ["heisenberg", "disc"])
+    @pytest.mark.parametrize(
+        "given, message",
+        [("u_cos", "u_cos and u_sin differ in length (1 vs 0)"),
+         ("v_sin", "v_cos and v_sin differ in length (0 vs 1)")],
+    )
+    def test_fourier_coefficients_of_unequal_length_are_a_config_error(
+        self, tmp_path, capsys, example, given, message
+    ):
+        control = {"family": "fourier", given: [0.3]}
+        code, out = run(tmp_path, "example", {"example": example, "control": control})
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / f"{example}_summary.json").exists()
+
     def test_snapshot_times_validated(self, tmp_path, capsys):
         code, _ = run(
             tmp_path,

@@ -299,15 +299,24 @@ class TestDensityMapCsv:
     def test_caustic_row_has_nan_sigma(self, tmp_path):
         from symvol.surfaces import SurfaceParam
 
+        def embed(uv):
+            u, v = np.moveaxis(np.asarray(uv, dtype=float), -1, 0)
+            return np.stack([u, v**2 / 2.0, v, np.zeros_like(u)], axis=-1)
+
+        def jacobian(uv):
+            v = np.asarray(uv, dtype=float)[..., 1]
+            J = np.zeros(v.shape + (4, 2))
+            J[..., 0, 0] = J[..., 2, 1] = 1.0
+            J[..., 1, 1] = v
+            return J
+
         fold = SurfaceParam(
             k=1,
             n_pairs=2,
             bounds=((-1.0, 1.0), (-1.0, 1.0)),
             cells=(5, 5),
-            embed=lambda uv: np.array([uv[0], uv[1] ** 2 / 2.0, uv[1], 0.0]),
-            jacobian=lambda uv: np.array(
-                [[1.0, 0.0], [0.0, uv[1]], [0.0, 1.0], [0.0, 0.0]]
-            ),
+            embed=embed,
+            jacobian=jacobian,
             anchor=np.zeros(4),
         )
         dm = density_map(fold, np.eye(4), target=1)

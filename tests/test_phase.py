@@ -13,7 +13,9 @@ from symvol import (
     pair_projection,
     pair_stack,
     q_index,
+    random_symplectic,
     structure_matrix,
+    subdet_table,
     symplecticity_residual,
 )
 from conftest import squeeze_rotate
@@ -149,3 +151,32 @@ class TestSymplecticityResidual:
             symplecticity_residual(np.zeros((4, 2)))
         with pytest.raises(ValueError):
             symplecticity_residual(np.zeros((3, 3)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.01, 3.0),
+        perturb=st.sampled_from([0.0, 1e-9, 1e-3]),
+        shape=st.sampled_from([(1,), (4,), (2, 3)]),
+    )
+    def test_stack_matches_per_matrix_calls(self, n, seed, scale, perturb, shape):
+        rng = np.random.default_rng(seed)
+        maps = np.array([random_symplectic(n, rng, scale) for _ in range(math.prod(shape))])
+        maps += perturb * rng.standard_normal(maps.shape)
+        res = symplecticity_residual(maps.reshape(shape + maps.shape[1:]))
+        assert isinstance(res, np.ndarray) and res.shape == shape
+        per_matrix = [symplecticity_residual(M) for M in maps]
+        assert np.array_equal(res.ravel(), per_matrix)
+
+    def test_one_matrix_gives_a_python_float(self):
+        assert type(symplecticity_residual(squeeze_rotate())) is float
+        assert type(symplecticity_residual(np.eye(6).tolist())) is float
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2), (3, 3), (2, 4, 2), (5, 3, 3)])
+    def test_bad_shapes_share_the_validator_message(self, shape):
+        message = "expected a square matrix of even dimension"
+        with pytest.raises(ValueError, match=message):
+            symplecticity_residual(np.zeros(shape))
+        with pytest.raises(ValueError, match=message):
+            subdet_table(np.zeros(shape))

@@ -39,12 +39,15 @@ def curved_graph(cells=(64, 64), c=0.05):
     an exact analytic Jacobian, for quadrature-convergence checks."""
 
     def embed(uv):
-        u, v = uv
-        return np.array([u, v, 0.0, 0.5 * c * v * v])
+        u, v = np.moveaxis(np.asarray(uv, dtype=float), -1, 0)
+        return np.stack([u, v, np.zeros_like(u), 0.5 * c * v * v], axis=-1)
 
     def jac(uv):
-        _, v = uv
-        return np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, c * v]])
+        v = np.asarray(uv, dtype=float)[..., 1]
+        J = np.zeros(v.shape + (4, 2))
+        J[..., 0, 0] = J[..., 1, 1] = 1.0
+        J[..., 3, 1] = c * v
+        return J
 
     return SurfaceParam(
         k=1, n_pairs=2, bounds=((-1.0, 1.0), (-1.0, 1.0)), cells=cells,
@@ -217,12 +220,15 @@ class TestDensityMap:
         # embed (u, v) -> (u, v^2/2, v, 0): the pair-1 shadow determinant is v,
         # which vanishes on the center row of an odd grid
         def embed(uv):
-            u, v = uv
-            return np.array([u, 0.5 * v * v, v, 0.0])
+            u, v = np.moveaxis(np.asarray(uv, dtype=float), -1, 0)
+            return np.stack([u, 0.5 * v * v, v, np.zeros_like(u)], axis=-1)
 
         def jac(uv):
-            _, v = uv
-            return np.array([[1.0, 0.0], [0.0, v], [0.0, 1.0], [0.0, 0.0]])
+            v = np.asarray(uv, dtype=float)[..., 1]
+            J = np.zeros(v.shape + (4, 2))
+            J[..., 0, 0] = J[..., 2, 1] = 1.0
+            J[..., 1, 1] = v
+            return J
 
         s = SurfaceParam(
             k=1, n_pairs=2, bounds=((-1.0, 1.0), (-1.0, 1.0)), cells=(5, 5),
@@ -305,6 +311,50 @@ class TestLinearSurface:
         assert np.array_equal(s.jacobian((0.0, 0.0)), pair_projection(1, 2))
         assert np.array_equal(s.embed((1.0, 2.0)), [1.0, 2.0, 0.0, 0.0])
         assert surface_area(s) == pytest.approx(4.0)
+
+
+class TestStackContract:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 2),
+        extra_pairs=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(), (1,), (5,), (3, 4)]),
+    )
+    def test_linear_surface_stacks_match_point_calls(self, k, extra_pairs, seed, shape):
+        n = min(k + extra_pairs, 4)
+        rng = np.random.default_rng(seed)
+        L = rng.uniform(-2.0, 2.0, size=(2 * n, 2 * k))
+        anchor = rng.uniform(-2.0, 2.0, size=2 * n)
+        s = linear_surface(L, ((-1.0, 1.0),) * (2 * k), (2,) * (2 * k), anchor=anchor)
+        u = rng.uniform(-1.0, 1.0, size=shape + (2 * k,))
+        points, frames = s.embed(u), s.jacobian(u)
+        assert points.shape == shape + (2 * n,)
+        assert frames.shape == shape + (2 * n, 2 * k)
+        for idx in np.ndindex(shape):
+            assert np.array_equal(points[idx], s.embed(u[idx]))
+            assert np.array_equal(frames[idx], s.jacobian(u[idx]))
+
+    @pytest.mark.parametrize("cells", [(1, 1), (2, 1), (257, 1)])
+    @pytest.mark.parametrize("callable_name", ["embed", "jacobian"])
+    def test_point_only_callables_are_rejected(self, cells, callable_name):
+        base = lamina(1, 2, cells=cells)
+        point_only = {"embed": lambda u: np.zeros(4), "jacobian": lambda u: pair_projection(1, 2)}
+        s = replace(base, **{callable_name: point_only[callable_name]})
+        with pytest.raises(ValueError, match="embed and jacobian must map"):
+            surface_area(s)
+
+    def test_one_jacobian_call_per_block(self):
+        base = lamina(1, 2, cells=(96, 96))
+        blocks = []
+
+        def jacobian(u):
+            blocks.append(len(u))
+            return base.jacobian(u)
+
+        assert surface_area(replace(base, jacobian=jacobian)) == pytest.approx(4.0)
+        assert len(blocks) == math.ceil(96 * 96 / 256) == 36
+        assert sum(blocks) == 96 * 96
 
 
 class TestAnchorShape:
