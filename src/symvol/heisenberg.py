@@ -189,11 +189,14 @@ def heisenberg_stm_integrated(ctrl: HeisenbergControl, t: float, rel_tol: float 
     if t == 0.0:
         return np.eye(3)
 
-    def jac(tau, y):
-        return np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-ctrl.v(tau), ctrl.u(tau), 0.0]])
+    rates = _moment_rates(ctrl)
+
+    def field(tau, y):
+        r = rates(tau, y)  # (u, v, nu u - mu v): u and v read once per call
+        return r, np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-r[1], r[0], 0.0]])
 
     settings = IntegratorSettings(rel_tol=rel_tol, abs_tol=1e-14)
-    _, stms, _ = _co_integrate(_moment_rates(ctrl), jac, np.zeros(3), np.array([0.0, t]), settings)
+    _, stms, _ = _co_integrate(field, np.zeros(3), np.array([0.0, t]), settings)
     return stms[-1]
 
 

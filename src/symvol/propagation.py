@@ -14,8 +14,11 @@ The steppers allocate their stage matrix and work vectors once per solve and
 update them in place (stage sums by np.dot(..., out=)), in the same
 floating-point operations and order as the textbook allocating form, so
 samples and step counters are bit for bit what that form gives.  A system
-marked quadratic (its Hessian is the same at every state) gives the kernel a
-constant J Hess H, formed once per propagate instead of once per RHS call.
+marked quadratic, H(x) = 1/2 x^T H x, has the linear flow x' = A x with
+A = J H formed once per propagate, and each RHS call is one product
+[x^T; Phi^T] A^T.  Its STMs under rk4 are the per-call path's bits (Phi'
+never reads x); x' can differ from J grad H by rounding when a coupling is
+not dyadic (BLAS may fuse a multiply-add), which can move rk45's steps.
 """
 from __future__ import annotations
 
@@ -323,42 +326,44 @@ class IntegratorSettings:
             raise ValueError("max_steps must be >= 1")
 
 
-def _augmented_rhs(f, jac, d: int):
+def _augmented_rhs(field, d: int):
     """RHS of y = [x | Phi flattened column-major] for x' = f(t, x) and
-    Phi' = jac(t, x) Phi, or Phi' = jac Phi when jac is a constant (d, d)
-    array.
+    Phi' = Df(t, x) Phi; field is a callable (t, x) -> (f, Df), or the
+    constant (d, d) array A of a linear field x' = A x.
 
     y[d:] read row-major is Phi^T, so the variational term is written in
-    place as Phi^T jac^T.  A non-finite x gets a NaN derivative, which the
-    integrators reject.
+    place as Phi^T Df^T; for a linear field, y read row-major is the block
+    [x^T; Phi^T] and its derivative is one product by A^T.  A non-finite x
+    gets a non-finite derivative, which the integrators reject.
     """
-    jac_T = None if callable(jac) else jac.T
+    if not callable(field):
+        A_T = field.T
+        return lambda t, y: np.dot(y.reshape(d + 1, d), A_T).ravel()
 
     def rhs(t, y):
         x = y[:d]
         if not _finite(x):
             return np.full(y.size, np.nan)
         dy = np.empty(y.size)
-        dy[:d] = f(t, x)
-        jt = jac(t, x).T if jac_T is None else jac_T
-        np.dot(y[d:].reshape(d, d), jt, out=dy[d:].reshape(d, d))
+        dy[:d], jac = field(t, x)
+        np.dot(y[d:].reshape(d, d), jac.T, out=dy[d:].reshape(d, d))
         return dy
 
     return rhs
 
 
-def _co_integrate(f, jac, x0, t_eval, settings: IntegratorSettings):
-    """Integrate x' = f(t, x) and its STM, Phi' = jac(t, x) Phi, from Phi = I.
+def _co_integrate(field, x0, t_eval, settings: IntegratorSettings):
+    """Integrate x' = f(t, x) and its STM, Phi' = Df(t, x) Phi, from Phi = I.
 
-    jac is a callable or, for a linear variational equation, a constant
-    (d, d) array.
+    field is a callable (t, x) -> (f, Df) or, for a linear field x' = A x,
+    the constant (d, d) array A.
 
     Returns the states (m, d) and STMs (m, d, d) at the t_eval nodes, and
     the raw integrator counters.
     """
     x0 = np.asarray(x0, dtype=float)
     d = x0.size
-    rhs = _augmented_rhs(f, jac, d)
+    rhs = _augmented_rhs(field, d)
     y0 = np.concatenate([x0, np.eye(d).ravel()])
     if settings.method == "rk45":
         Y, raw = solve_ode_rk45(
@@ -445,31 +450,29 @@ class Trajectory:
 
 
 def _hamiltonian_field(sys: HamiltonianSystem, state0: PhaseState):
-    """(f, jac) = (J grad H, J Hess H) as raw-array callables for the kernel.
+    """The kernel's field: (t, x) -> (J grad H, J Hess H) on raw arrays, or
+    for a quadratic system the constant J Hess H, from the Hessian at state0.
 
     J acts as swap-and-negate of the interleaved pairs, (J v)[2i] = -v[2i+1]
     and (J v)[2i+1] = v[2i]; the rows of a matrix are swapped by one flat
     take.  The kernel has checked x finite and the integrator fixes its
-    length, so the states handed to grad_H/hess_H skip validation.  Both are
-    read from this instance.  For a quadratic system jac is a constant
-    array, from the Hessian at state0.
+    length, so the one state handed to grad_H and hess_H per call skips
+    validation.  Both are read from this instance.
     """
     dim = sys.dim
     perm = np.arange(dim) ^ 1
     sign = np.tile([-1.0, 1.0], sys.n_pairs)
     rows, row_sign = (dim * perm[:, None] + np.arange(dim)).ravel(), np.repeat(sign, dim)
+    if sys.quadratic:
+        return (sys.hessian(state0).take(rows) * row_sign).reshape(dim, dim)
     grad_H, hessian, trusted = sys.grad_H, sys.hessian, PhaseState._trusted
 
-    def f(t, x):
-        return sign * np.asarray(grad_H(trusted(x, t)), dtype=float)[perm]
+    def field(t, x):
+        s = trusted(x, t)
+        f = sign * np.asarray(grad_H(s), dtype=float)[perm]
+        return f, (hessian(s).take(rows) * row_sign).reshape(dim, dim)
 
-    if sys.quadratic:
-        return f, (hessian(state0).take(rows) * row_sign).reshape(dim, dim)
-
-    def jac(t, x):
-        return (hessian(trusted(x, t)).take(rows) * row_sign).reshape(dim, dim)
-
-    return f, jac
+    return field
 
 
 def propagate(
@@ -513,12 +516,17 @@ def propagate(
             raise ValueError("t_eval must run from t0 to t1")
 
     # one-off checks the hot path cannot make: a permuted gradient would drop
-    # surplus entries silently; the Hessian must be square and symmetric
-    vector_field(sys, state0)
+    # surplus entries silently; the Hessian must be square and symmetric; a
+    # quadratic H has no linear term: J grad H(x0) = J H x0 to dot-product rounding
+    f0 = vector_field(sys, state0)
     variational_rhs(sys, state0, np.eye(sys.dim))
-
-    f, jac = _hamiltonian_field(sys, state0)
-    states, stms, raw = _co_integrate(f, jac, state0.coords, t_eval, settings)
+    field = _hamiltonian_field(sys, state0)
+    if sys.quadratic:
+        x, fi = state0.coords, np.finfo(float)
+        gap = np.max(np.abs(f0 - field @ x))
+        if gap > 8 * sys.dim * (fi.eps * np.max(np.abs(field)) * np.max(np.abs(x)) + fi.smallest_subnormal):
+            raise ValueError(f"{sys.name!r} is marked quadratic, but J grad H(x0) - J H x0 = {gap:.3e}")
+    states, stms, raw = _co_integrate(field, state0.coords, t_eval, settings)
     m = t_eval.size
     residuals = symplecticity_residual(stms)
 

@@ -142,11 +142,10 @@ def disc_rhs(t: float, q, ctrl) -> np.ndarray:
     return np.array(_field(q, *ctrl(t, q))[0])
 
 
-def _coefficient_matrix(q, u, w) -> np.ndarray:
-    """The STM coefficient matrix df/dq (state order x, y, phi, theta, psi);
-    v enters no entry."""
+def _coefficient_matrix(m) -> np.ndarray:
+    """The STM coefficient matrix df/dq (order x, y, phi, theta, psi) from _field's six entries."""
     M = np.zeros((5, 5))
-    M[_M_ENTRIES] = _field(q, u, 0.0, w)[1]
+    M[_M_ENTRIES] = m
     return M
 
 
@@ -247,14 +246,12 @@ def disc_stm_integrated(
     if t_eval[0] != t0:
         raise ValueError("t_eval must start at t0")
 
-    def jac(t, q):
-        u, _, w = ctrl(t, q)
-        return _coefficient_matrix(q, u, w)
+    def field(t, q):
+        _guard_theta(q[3], t)
+        qdot, m = _field(q, *ctrl(t, q))
+        return np.array(qdot), _coefficient_matrix(m)
 
-    _, stms, _ = _co_integrate(
-        lambda t, q: disc_rhs(t, q, ctrl), jac, q0, t_eval,
-        IntegratorSettings(rel_tol=rel_tol, abs_tol=abs_tol),
-    )
+    _, stms, _ = _co_integrate(field, q0, t_eval, IntegratorSettings(rel_tol=rel_tol, abs_tol=abs_tol))
     return t_eval, stms
 
 

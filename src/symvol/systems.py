@@ -2,7 +2,7 @@
 
 A system supplies the gradient of H in interleaved coordinates; the Hessian
 is optional and falls back to central finite differences of the gradient.  A
-system marked quadratic has the same Hessian at every state.
+system marked quadratic is H(x) = 1/2 x^T H x, whose flow is linear.
 """
 from __future__ import annotations
 
@@ -48,9 +48,9 @@ class HamiltonianSystem:
     name : str
         Identifier used in exports and error messages.
     quadratic : bool
-        True when H is a quadratic form, so that its Hessian is the same at
-        every state.  propagate then evaluates the Hessian once, at the
-        initial state, and forms J Hess H once instead of per RHS call.
+        True when H(x) = 1/2 x^T H x (no linear term; needs hess_H): the flow
+        is linear, so propagate evaluates the Hessian once, checks
+        J grad H(x0) = J H x0 to rounding and integrates [x | Phi] by J H.
     """
 
     n_pairs: int
@@ -64,6 +64,8 @@ class HamiltonianSystem:
     def __post_init__(self):
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be >= 1")
+        if self.quadratic and self.hess_H is None:
+            raise ValueError(f"system {self.name!r} is marked quadratic but has no hess_H")
 
     @property
     def dim(self) -> int:

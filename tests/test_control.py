@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from symvol.heisenberg import (
+    HeisenbergControl,
     bloch_control,
     constant_control,
     flow_from_moments,
@@ -28,6 +29,7 @@ from symvol.rolling_disc import (
     DiscState,
     DiscStmIntegrals,
     _coefficient_matrix,
+    _field,
     _guard_theta,
     assemble_disc_stm,
     disc_projection_area,
@@ -398,8 +400,9 @@ class TestDiscMatchesReference:
     def test_rhs_and_coefficient_matrix(self, ctrl, q, t):
         q = np.array(q)
         assert disc_rhs(t, q, ctrl).tobytes() == ref_disc_rhs(t, q, ctrl).tobytes()
-        u, _, w = ctrl(t, q)
-        assert _coefficient_matrix(q, u, w).tobytes() == ref_coefficient_matrix(q, u, w).tobytes()
+        u, v, w = ctrl(t, q)
+        M = _coefficient_matrix(_field(q, u, v, w)[1])
+        assert M.tobytes() == ref_coefficient_matrix(q, u, w).tobytes()
 
     @given(
         ctrl=_disc_controls(),
@@ -426,6 +429,84 @@ class TestDiscMatchesReference:
         assert new == ref
         # one control evaluation per RHS evaluation, as in the reference
         assert new_ctrl.calls == ref_ctrl.calls
+
+
+def ref_co_integrate(f, jac, x0, t_eval, rel_tol, abs_tol):
+    """The cross-check STM kernel as it stood when the field and its
+    Jacobian were two callables: (STMs at t_eval, solver counters)."""
+    d = x0.size
+
+    def rhs(t, y):
+        x = y[:d]
+        if not np.isfinite(x).all():
+            return np.full(y.size, np.nan)
+        dy = np.empty(y.size)
+        dy[:d] = f(t, x)
+        np.dot(y[d:].reshape(d, d), jac(t, x).T, out=dy[d:].reshape(d, d))
+        return dy
+
+    y0 = np.concatenate([x0, np.eye(d).ravel()])
+    Y, stats = solve_ode_rk45(rhs, t_eval[0], y0, t_eval, rel_tol=rel_tol, abs_tol=abs_tol)
+    return Y[:, d:].reshape(-1, d, d).transpose(0, 2, 1), stats
+
+
+def _counted(fn, counts, key):
+    def wrapped(*args):
+        counts[key] += 1
+        return fn(*args)
+
+    return wrapped
+
+
+class TestCrossCheckStmsMatchReference:
+    """The cross-check STMs, with the field and its Jacobian from one call,
+    keep the bits of the two-callable kernel and read the control once per
+    RHS evaluation instead of twice."""
+
+    @given(
+        ctrl=_disc_controls(),
+        theta0=st.floats(0.6, 2.5),
+        phi0=st.floats(-3.0, 3.0),
+        span=st.sampled_from([0.4, 1.5, -0.7]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_disc(self, ctrl, theta0, phi0, span):
+        q0 = np.array([0.1, -0.2, phi0, theta0, 0.3])
+        t_eval = np.linspace(0.0, span, 4)
+        new_ctrl, ref_ctrl = _CountedControl(ctrl), _CountedControl(ctrl)
+
+        def ref_jac(t, q):
+            u, _, w = ref_ctrl(t, q)
+            return ref_coefficient_matrix(q, u, w)
+
+        try:
+            new = disc_stm_integrated(new_ctrl, q0, (0.0, span), t_eval=t_eval)[1].tobytes()
+        except IntegrationError as exc:
+            new = ("error", str(exc))
+        try:
+            stms, stats = ref_co_integrate(
+                lambda t, q: ref_disc_rhs(t, q, ref_ctrl), ref_jac, q0, t_eval, 1e-11, 1e-13
+            )
+            ref = stms.tobytes()
+            assert new_ctrl.calls == stats["rhs_evals"]
+        except IntegrationError as exc:
+            ref = ("error", str(exc))
+        assert new == ref
+        assert 2 * new_ctrl.calls == ref_ctrl.calls
+
+    @given(ctrl=_heisenberg_controls(), t=st.sampled_from([0.1, 0.5, 1.0, 1.3]))
+    @settings(max_examples=20, deadline=None)
+    def test_heisenberg(self, ctrl, t):
+        counts = {"u": 0, "v": 0}
+        u, v = _counted(ctrl.u, counts, "u"), _counted(ctrl.v, counts, "v")
+        new = heisenberg_stm_integrated(HeisenbergControl(u, v), t)
+        stms, stats = ref_co_integrate(
+            lambda tau, y: np.array([ctrl.u(tau), ctrl.v(tau), y[1] * ctrl.u(tau) - y[0] * ctrl.v(tau)]),
+            lambda tau, y: np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-ctrl.v(tau), ctrl.u(tau), 0.0]]),
+            np.zeros(3), np.array([0.0, t]), 1e-12, 1e-14,
+        )
+        assert new.tobytes() == stms[-1].tobytes()
+        assert counts == {"u": stats["rhs_evals"], "v": stats["rhs_evals"]}
 
 
 class TestZeroProjectionLaw:

@@ -294,7 +294,7 @@ def _kernel_rhs(sys, x, Phi):
     """(x-dot, Phi-dot) from the propagate kernel's augmented RHS."""
     d = sys.dim
     field = _hamiltonian_field(sys, PhaseState._trusted(x, 0.0))
-    dy = _augmented_rhs(*field, d)(0.0, np.concatenate([x, Phi.ravel(order="F")]))
+    dy = _augmented_rhs(field, d)(0.0, np.concatenate([x, Phi.ravel(order="F")]))
     return dy[:d], dy[d:].reshape((d, d), order="F")
 
 
@@ -316,7 +316,14 @@ class TestKernelMatchesReference:
         x, Phi = _state_and_stm(data, sys.dim)
         dx, dPhi = _kernel_rhs(sys, x, Phi)
         s = PhaseState(x)
-        assert np.array_equal(dx, vector_field(sys, s))
+        if sys.quadratic:
+            # the one product [x^T; Phi^T] A^T: exact for unit and dyadic
+            # entries, except that a product or sum in the subnormal range
+            # rounds, once where grad_H may round twice
+            tiny = np.finfo(float).smallest_subnormal
+            assert np.all(np.abs(dx - vector_field(sys, s)) <= sys.dim * tiny)
+        else:
+            assert np.array_equal(dx, vector_field(sys, s))
         assert np.array_equal(dPhi, variational_rhs(sys, s, Phi))
 
     @pytest.mark.parametrize("name", ["pendulum", "coupled_oscillators"])
@@ -569,22 +576,79 @@ class TestLeanSteppersMatchReference:
         assert new == ref
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _entries(rng, shape, dyadic):
+    """Standard normals, or multiples of 1/8 in [-2, 2]: products and short
+    sums of those are exact, so any evaluation order rounds alike."""
+    if dyadic:
+        return rng.integers(-16, 17, size=shape) / 8.0
+    return rng.normal(size=shape)
+
+
+def _assert_linear_rhs_matches(a, b, A, x, exact):
+    """Two augmented RHS values of the linear field x' = A x at the state x:
+    Phi' bit for bit; x' equal when the arithmetic is exact (a sum that is
+    exactly zero may carry either sign: the per-call J negates +0 to -0),
+    and otherwise within the rounding of one length-d dot product (BLAS may
+    fuse a multiply-add that a gradient callable rounds twice)."""
+    d = x.size
+    assert a[d:].tobytes() == b[d:].tobytes()
+    if exact:
+        assert np.array_equal(a[:d], b[:d])
+    else:
+        assert np.all(np.abs(a[:d] - b[:d]) <= 4 * d * _EPS * (np.abs(A) @ np.abs(x)))
+
+
 class TestConstantJacobianKernel:
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_array_jac_matches_callable(self, seed, n):
+    """The linear form of the kernel RHS, one product [x^T; Phi^T] A^T,
+    against the callable form of the same field, (t, x) -> (A x, A)."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), dyadic=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_array_jac_matches_callable(self, seed, n, dyadic):
         rng = np.random.default_rng(seed)
         d = 2 * n
-        M = rng.normal(size=(d, d))
-        y = rng.normal(size=d + d * d)
+        M = _entries(rng, (d, d), dyadic)
+        y = _entries(rng, d + d * d, dyadic)
+        const = _augmented_rhs(M, d)(0.5, y)
+        called = _augmented_rhs(lambda t, x: (M @ x, M.copy()), d)(0.5, y)
+        _assert_linear_rhs_matches(const, called, M, y[:d], exact=dyadic)
 
-        def f(t, x):
-            return np.sin(x)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_state_gives_nonfinite_derivative(self, bad):
+        d = 4
+        A = np.random.default_rng(7).normal(size=(d, d))
+        y = np.concatenate([[0.1, bad, -0.2, 0.3], np.eye(d).ravel()])
+        dy = _augmented_rhs(A, d)(0.0, y)
+        assert not np.isfinite(dy[:d]).any()
+        assert np.isfinite(dy[d:]).all()  # Phi' never reads x
 
-        const = _augmented_rhs(f, M, d)(0.5, y)
-        called = _augmented_rhs(f, lambda t, x: M.copy(), d)(0.5, y)
-        assert const.tobytes() == called.tobytes()
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_stage_is_rejected_by_rk45_and_reported_by_rk4(self, bad):
+        d = 4
+        A = structure_matrix(2) @ np.random.default_rng(8).normal(size=(d, d))
+        rhs = _augmented_rhs(A, d)
+        calls = [0]
 
+        def poisoned(t, y):
+            # the third call is stage 1 of the first rk45 attempt
+            calls[0] += 1
+            if calls[0] == 3:
+                y = y.copy()
+                y[1] = bad
+            return rhs(t, y)
+
+        y0 = np.concatenate([[0.5, -0.25, 1.0, 0.75], np.eye(d).ravel()])
+        t_eval = np.array([0.0, 0.4, 1.0])
+        clean, clean_stats = solve_ode_rk45(rhs, 0.0, y0, t_eval)
+        Y, stats = solve_ode_rk45(poisoned, 0.0, y0, t_eval)
+        assert clean_stats["rejected"] == 0 and stats["rejected"] >= 1
+        assert np.isfinite(Y).all() and np.max(np.abs(Y - clean)) <= 1e-8
+        calls[0] = 0
+        with pytest.raises(IntegrationError, match="solution not finite at t = 0.4"):
+            solve_ode_rk4(poisoned, 0.0, y0, t_eval, n_steps=50)
 
 
 class _CountedHessian:
@@ -608,35 +672,75 @@ def _quadratic_pair(A, hess_H=None):
 
 
 class TestQuadraticSystem:
-    """A system marked quadratic: Hess H is evaluated once per propagate and
-    the kernel gets the constant J Hess H, with the bits of the per-call path."""
+    """A system marked quadratic: Hess H is evaluated once per propagate, and
+    the kernel integrates [x | Phi] by the constant J Hess H alone, with the
+    per-call path's bits wherever the arithmetic is exact."""
 
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_kernel_rhs_matches_per_call_path(self, seed, n):
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), dyadic=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_rhs_matches_per_call_path(self, seed, n, dyadic):
         rng = np.random.default_rng(seed)
         d = 2 * n
-        A = rng.normal(size=(d, d))
-        quad, general = _quadratic_pair(A + A.T)
-        state0 = PhaseState(rng.normal(size=d))
-        f, jac = _hamiltonian_field(quad, state0)
-        assert not callable(jac)
-        y = rng.normal(size=d + d * d)
-        a = _augmented_rhs(f, jac, d)(0.0, y)
-        b = _augmented_rhs(*_hamiltonian_field(general, state0), d)(0.0, y)
-        assert a.tobytes() == b.tobytes()
+        H = _entries(rng, (d, d), dyadic)
+        quad, general = _quadratic_pair(H + H.T)
+        state0 = PhaseState(_entries(rng, d, dyadic))
+        A = _hamiltonian_field(quad, state0)
+        assert not callable(A)
+        y = _entries(rng, d + d * d, dyadic)
+        a = _augmented_rhs(A, d)(0.0, y)
+        b = _augmented_rhs(_hamiltonian_field(general, state0), d)(0.0, y)
+        _assert_linear_rhs_matches(a, b, A, y[:d], exact=dyadic)
 
     @pytest.mark.parametrize("method", ["rk45", "rk4"])
     def test_propagate_is_bitwise_the_per_call_path(self, method):
+        # unit and power-of-two couplings (0.25 is the benchmark's): every
+        # product in J grad H is exact, so both paths round alike
+        settings = IntegratorSettings(method=method, n_steps=400)
+        cases = [
+            (builtin_system("harmonic_oscillator"), [0.3, -0.7]),
+            (builtin_system("coupled_oscillators"), [0.3, 0.1, -0.2, 0.4]),
+            (builtin_system("coupled_oscillators", epsilon=-0.5), [0.3, 0.1, -0.2, 0.4]),
+        ]
+        for sys, x0 in cases:
+            general = dataclasses.replace(sys, quadratic=False)
+            a = propagate(sys, x0, (0.0, -7.0), settings, samples=9)
+            b = propagate(general, x0, (0.0, -7.0), settings, samples=9)
+            for name in ("states", "stms", "residuals", "energy_drift"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (sys.name, name)
+            assert a.stats == b.stats
+
+    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    def test_non_dyadic_coupling_stays_on_the_per_call_path(self, method):
+        # eps q rounds, so x' may differ by an ulp.  rk4's steps are fixed:
+        # its STMs keep their bits (Phi' never reads x) and its states stay
+        # within a few ulps.  rk45's step sizes follow an error norm over x
+        # as well, so an ulp in x' can move them, and the runs then differ
+        # by their truncation errors: a small fraction of rel_tol
         coupled = builtin_system("coupled_oscillators", epsilon=0.3)
         general = dataclasses.replace(coupled, quadratic=False)
         settings = IntegratorSettings(method=method, n_steps=400)
         x0, span = [0.3, 0.1, -0.2, 0.4], (0.0, -7.0)
         a = propagate(coupled, x0, span, settings, samples=9)
         b = propagate(general, x0, span, settings, samples=9)
-        for name in ("states", "stms", "residuals", "energy_drift"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        assert a.stats == b.stats
+        bound = 1e-14 if method == "rk4" else 0.1 * settings.rel_tol
+        for name in ("states", "stms"):
+            new, ref = getattr(a, name), getattr(b, name)
+            assert np.all(np.abs(new - ref) <= bound * np.maximum(1.0, np.abs(ref))), name
+        if method == "rk4":
+            assert a.stms.tobytes() == b.stms.tobytes()
+            assert a.stats == b.stats
+
+    @given(epsilon=st.floats(-0.9, 0.9), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_rk4_stms_are_bitwise_for_any_coupling(self, epsilon, seed):
+        # Phi' never reads x, and rk4's steps are fixed
+        coupled = builtin_system("coupled_oscillators", epsilon=epsilon)
+        general = dataclasses.replace(coupled, quadratic=False)
+        settings = IntegratorSettings(method="rk4", n_steps=200)
+        x0 = np.random.default_rng(seed).normal(size=4)
+        a = propagate(coupled, x0, (0.0, 3.0), settings, samples=4)
+        b = propagate(general, x0, (0.0, 3.0), settings, samples=4)
+        assert a.stms.tobytes() == b.stms.tobytes()
 
     def test_hessian_is_evaluated_once_per_run_besides_the_check(self):
         hess = _CountedHessian(np.diag([1.0, 2.0]))
@@ -661,8 +765,59 @@ class TestQuadraticSystem:
                 propagate(sys, [0.1, 0.2], (0.0, 1.0))
 
 
+class TestQuadraticContract:
+    """Once per run, propagate checks that a system marked quadratic has the
+    field J Hess H x that its [x | Phi] product integrates."""
+
+    @pytest.mark.parametrize("b", [0.5, 1e-12])
+    @pytest.mark.parametrize("x0", [[0.1, 0.2], [0.0, 0.0]])
+    def test_affine_gradient_marked_quadratic_raises(self, x0, b):
+        # H = (p^2 + q^2)/2 + b q: a constant Hessian, but a linear term,
+        # caught even when it is far below the integration tolerance
+        affine = HamiltonianSystem(
+            1, lambda s: s.coords + np.array([0.0, b]), lambda s: np.eye(2),
+            name="affine", quadratic=True,
+        )
+        with pytest.raises(ValueError, match="'affine' is marked quadratic"):
+            propagate(affine, x0, (0.0, 1.0))
+        # unmarked, it integrates the affine field: q' = p, p' = -q - b
+        traj = propagate(dataclasses.replace(affine, quadratic=False), x0, (0.0, 1.0), samples=2)
+        p0, q0 = x0
+        exact = (p0 * math.cos(1.0) - (q0 + b) * math.sin(1.0),
+                 (q0 + b) * math.cos(1.0) + p0 * math.sin(1.0) - b)
+        assert np.allclose(traj.states[-1], exact, atol=1e-9)
+
+    def test_quadratic_mark_needs_an_analytic_hessian(self):
+        # a finite-difference Hessian is off by ~1e-11 relative, which the
+        # linear form would integrate into x as well as Phi
+        with pytest.raises(ValueError, match="'fd' is marked quadratic but has no hess_H"):
+            HamiltonianSystem(1, lambda s: s.coords, name="fd", quadratic=True)
+
+    @given(
+        name=st.sampled_from(["harmonic_oscillator", "coupled_oscillators"]),
+        epsilon=st.floats(-0.9, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-320, 1e-8, 1.0, 1e8]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_builtins_pass(self, name, epsilon, seed, scale):
+        params = {"epsilon": epsilon} if name == "coupled_oscillators" else {}
+        sys = builtin_system(name, **params)
+        x0 = scale * np.random.default_rng(seed).normal(size=sys.dim)
+        propagate(sys, x0, (0.0, 0.01), samples=2)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), scale=st.sampled_from([1e-320, 1e-8, 1.0, 1e8]))
+    @settings(max_examples=40, deadline=None)
+    def test_dense_quadratic_forms_pass(self, seed, n, scale):
+        rng = np.random.default_rng(seed)
+        H = rng.normal(size=(2 * n, 2 * n))
+        quad, _ = _quadratic_pair(H + H.T)
+        propagate(quad, scale * rng.normal(size=2 * n), (0.0, 0.01), samples=2)
+
+
 class TestLongRunOracle:
-    """The quadratic builtins have the exact STM expm(t J Hess H)."""
+    """The quadratic builtins have the exact flow x(t) = expm(t J Hess H) x0
+    and STM expm(t J Hess H)."""
 
     @pytest.mark.parametrize(
         "name, x0", [("harmonic_oscillator", [1.0, 0.0]), ("coupled_oscillators", [0.3, 0.1, -0.2, 0.4])]
@@ -672,5 +827,16 @@ class TestLongRunOracle:
         JH = structure_matrix(sys.n_pairs) @ sys.hessian(PhaseState(np.zeros(sys.dim)))
         traj = propagate(sys, x0, (0.0, 100.0), IntegratorSettings(rel_tol=1e-10), samples=11)
         errors = [np.max(np.abs(Phi - expm(t * JH))) for t, Phi in zip(traj.times, traj.stms)]
+        assert errors[0] == 0.0
+        assert max(errors) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "name, x0", [("harmonic_oscillator", [1.0, 0.0]), ("coupled_oscillators", [0.3, 0.1, -0.2, 0.4])]
+    )
+    def test_state_against_matrix_exponential_to_t100(self, name, x0):
+        sys = builtin_system(name)
+        JH = structure_matrix(sys.n_pairs) @ sys.hessian(PhaseState(np.zeros(sys.dim)))
+        traj = propagate(sys, x0, (0.0, 100.0), IntegratorSettings(rel_tol=1e-10), samples=11)
+        errors = [np.max(np.abs(x - expm(t * JH) @ x0)) for t, x in zip(traj.times, traj.states)]
         assert errors[0] == 0.0
         assert max(errors) <= 1e-9
