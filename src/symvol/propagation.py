@@ -14,11 +14,9 @@ The steppers allocate their stage matrix and work vectors once per solve and
 update them in place (stage sums by np.dot(..., out=)), in the same
 floating-point operations and order as the textbook allocating form, so
 samples and step counters are bit for bit what that form gives.  A system
-marked quadratic, H(x) = 1/2 x^T H x, has the linear flow x' = A x with
-A = J H formed once per propagate, and each RHS call is one product
-[x^T; Phi^T] A^T.  Its STMs under rk4 are the per-call path's bits (Phi'
-never reads x); x' can differ from J grad H by rounding when a coupling is
-not dyadic (BLAS may fuse a multiply-add), which can move rk45's steps.
+marked quadratic, H(x) = 1/2 x^T H x, has x' = A x with A = J H formed once
+per propagate; an RHS call is one product [x^T; Phi^T] A^T, with x' summed
+from the rounded products A_ij x_j as the builtin gradients do: no grad_H.
 """
 from __future__ import annotations
 
@@ -332,13 +330,19 @@ def _augmented_rhs(field, d: int):
     constant (d, d) array A of a linear field x' = A x.
 
     y[d:] read row-major is Phi^T, so the variational term is written in
-    place as Phi^T Df^T; for a linear field, y read row-major is the block
-    [x^T; Phi^T] and its derivative is one product by A^T.  A non-finite x
-    gets a non-finite derivative, which the integrators reject.
+    place as Phi^T Df^T.  A linear field's [x^T; Phi^T] is one product by
+    A^T; x' is then redone as the row sums of the rounded products A_ij x_j,
+    which BLAS may fuse (times 1.0 it adds exactly).  A non-finite x gets a
+    non-finite derivative, which the integrators reject.
     """
     if not callable(field):
-        A_T = field.T
-        return lambda t, y: np.dot(y.reshape(d + 1, d), A_T).ravel()
+        A_T, prod, ones = field.T, np.empty((d, d)), np.ones(d)
+
+        def linear(t, y):
+            dy = np.dot(y.reshape(d + 1, d), A_T).ravel()
+            np.dot(np.multiply(field, y[:d], out=prod), ones, out=dy[:d])
+            return dy
+        return linear
 
     def rhs(t, y):
         x = y[:d]
@@ -516,16 +520,17 @@ def propagate(
             raise ValueError("t_eval must run from t0 to t1")
 
     # one-off checks the hot path cannot make: a permuted gradient would drop
-    # surplus entries silently; the Hessian must be square and symmetric; a
-    # quadratic H has no linear term: J grad H(x0) = J H x0 to dot-product rounding
+    # surplus entries silently; the Hessian must be square and symmetric; a quadratic
+    # H has J grad H(x) = J H x, to dot-product rounding, at x0 and at x0 + 1
     f0 = vector_field(sys, state0)
     variational_rhs(sys, state0, np.eye(sys.dim))
     field = _hamiltonian_field(sys, state0)
     if sys.quadratic:
-        x, fi = state0.coords, np.finfo(float)
-        gap = np.max(np.abs(f0 - field @ x))
-        if gap > 8 * sys.dim * (fi.eps * np.max(np.abs(field)) * np.max(np.abs(x)) + fi.smallest_subnormal):
-            raise ValueError(f"{sys.name!r} is marked quadratic, but J grad H(x0) - J H x0 = {gap:.3e}")
+        x1, fi = state0.coords + 1.0, np.finfo(float)
+        for x, f in ((state0.coords, f0), (x1, vector_field(sys, PhaseState(x1, t0)))):
+            gap = np.max(np.abs(f - (field * x).sum(1)))
+            if gap > 8 * sys.dim * (fi.eps * np.abs(field).max() * np.abs(x).max() + fi.smallest_subnormal):
+                raise ValueError(f"{sys.name!r} is marked quadratic, but J grad H(x) - J H x = {gap:.3e}")
     states, stms, raw = _co_integrate(field, state0.coords, t_eval, settings)
     m = t_eval.size
     residuals = symplecticity_residual(stms)

@@ -142,13 +142,6 @@ def disc_rhs(t: float, q, ctrl) -> np.ndarray:
     return np.array(_field(q, *ctrl(t, q))[0])
 
 
-def _coefficient_matrix(m) -> np.ndarray:
-    """The STM coefficient matrix df/dq (order x, y, phi, theta, psi) from _field's six entries."""
-    M = np.zeros((5, 5))
-    M[_M_ENTRIES] = m
-    return M
-
-
 class DiscTrajectory:
     """Sampled states and STM quadratures of one disc run."""
 
@@ -249,7 +242,9 @@ def disc_stm_integrated(
     def field(t, q):
         _guard_theta(q[3], t)
         qdot, m = _field(q, *ctrl(t, q))
-        return np.array(qdot), _coefficient_matrix(m)
+        M = np.zeros((5, 5))
+        M[_M_ENTRIES] = m
+        return np.array(qdot), M
 
     _, stms, _ = _co_integrate(field, q0, t_eval, IntegratorSettings(rel_tol=rel_tol, abs_tol=abs_tol))
     return t_eval, stms

@@ -48,9 +48,9 @@ class HamiltonianSystem:
     name : str
         Identifier used in exports and error messages.
     quadratic : bool
-        True when H(x) = 1/2 x^T H x (no linear term; needs hess_H): the flow
-        is linear, so propagate evaluates the Hessian once, checks
-        J grad H(x0) = J H x0 to rounding and integrates [x | Phi] by J H.
+        True when H(x) = 1/2 x^T H x (no other term; needs hess_H): the flow is
+        linear, so propagate evaluates the Hessian once, checks J grad H(x) =
+        J H x at x0 and x0 + 1, and integrates [x | Phi] by J H alone.
     """
 
     n_pairs: int
