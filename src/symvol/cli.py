@@ -59,11 +59,9 @@ from .rolling_disc import (
 )
 from .surfaces import (
     CausticError,
-    _per_cell,
     density_map,
     lamina,
     linear_graph_surface,
-    parasymplectic_residual,
     signed_shadow_integral,
     surface_area,
 )
@@ -422,6 +420,8 @@ def _resolve_stm(spec, rng) -> np.ndarray:
         raise ConfigError("unrecognized stm source")
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
         raise ConfigError(f"stm must be square and even-dimensional, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ConfigError("stm has non-finite entries (NaN or infinity)")
     return M
 
 
@@ -624,12 +624,11 @@ def cmd_surface(cfg, args, outdir: Path) -> int:
         raise ConfigError(f"target_pair {target} out of range for {n} pairs")
     tol = _tolerance(cfg, args)
 
-    area = surface_area(s)
-    para_res = parasymplectic_residual(s)
+    dm = density_map(s, Phi, target, caustic_tol=cfg.get("caustic_tol", 1e-12))
+    area = float(np.sum(dm.area_factor)) * s.cell_volume
+    para_res = float(np.max(np.abs(dm.pullback_density - 1.0)))
     # the symplectic density of Phi L is also the sum of its pair-plane shadows
-    factors, density = _per_cell(
-        s, lambda x, L: np.column_stack([volume_2k(Phi @ L), poincare_cartan_sum(Phi @ L)])
-    ).T.copy()
+    factors, density = dm.mapped_area_factor, dm.mapped_density
     mapped_area = float(np.sum(factors)) * s.cell_volume
     signed = float(np.sum(density)) * s.cell_volume
     unsigned = float(np.sum(np.abs(density))) * s.cell_volume
@@ -641,8 +640,6 @@ def cmd_surface(cfg, args, outdir: Path) -> int:
         violations.append(f"shadow-sum law broken by {sio.fmt(shadow_sum_err)}")
     if wirtinger_margin < -tol:
         violations.append(f"pointwise area bound broken by {sio.fmt(-wirtinger_margin)}")
-
-    dm = density_map(s, Phi, target, caustic_tol=cfg.get("caustic_tol", 1e-12))
     if abs(dm.total_prob - 1.0) > 1e-6:
         violations.append(f"cell probabilities sum to {sio.fmt(dm.total_prob)}")
 

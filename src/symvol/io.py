@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -147,15 +148,7 @@ def trajectory_to_json(traj: Trajectory, path):
         "stms": traj.stms,
         "sympl_residual": traj.residuals,
         "energy_drift": traj.energy_drift,
-        "stats": {
-            "method": traj.stats.method,
-            "steps": traj.stats.steps,
-            "rejected": traj.stats.rejected,
-            "rhs_evals": traj.stats.rhs_evals,
-            "rel_tol": traj.stats.rel_tol,
-            "abs_tol": traj.stats.abs_tol,
-            "budget_exceedances": traj.stats.budget_exceedances,
-        },
+        "stats": asdict(traj.stats),
     }
     write_json(obj, path)
 

@@ -431,6 +431,14 @@ class Trajectory:
         self.residuals = np.asarray(residuals, dtype=float)
         self.energy_drift = np.asarray(energy_drift, dtype=float)
         self.stats = stats
+        if self.states.ndim != 2 or not self.states.shape[1] or self.states.shape[1] % 2:
+            raise ValueError(f"trajectory states must have shape (m, 2n), got {self.states.shape}")
+        m, dim = self.states.shape
+        for name, shape in [("times", (m,)), ("stms", (m, dim, dim)), ("residuals", (m,)),
+                            ("energy_drift", (m,))]:
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"trajectory {name} has shape {getattr(self, name).shape}, "
+                                 f"expected {shape} for states of shape {(m, dim)}")
         d = np.diff(self.times)
         if not (np.all(d > 0) or np.all(d < 0)):
             raise ValueError("sample times must be strictly monotone")

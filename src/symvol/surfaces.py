@@ -2,8 +2,9 @@
 
 A surface carries exact analytic Jacobians (closures over the parameters,
 no mesh differencing); every flat patch is a constant-frame linear_surface.
-Quadratures are midpoint sums over a rectangular parameter grid, all taken
-by one grid walk that hands blocks of cells to array kernels.  The shadow
+Quadratures are midpoint sums over a rectangular parameter grid, taken by
+one grid walk that hands blocks of cells to array kernels; density_map makes
+one walk for every per-cell figure of a mapped surface.  The shadow
 machinery projects the mapped surface onto coordinate pair planes; where the
 shadow determinant vanishes the density is unbounded and the cell is flagged
 caustic rather than evaluated.
@@ -11,7 +12,7 @@ caustic rather than evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -173,13 +174,13 @@ def linear_graph_surface(
 _BLOCK = 256
 
 
-def _per_cell(s: SurfaceParam, fn) -> np.ndarray:
+def _per_cell(s: SurfaceParam, fn) -> tuple:
     """fn(points, frames) over the grid, one block of b cells at a time: the
-    embedded cell centers (b, 2n) and tangent frames (b, 2n, 2k) in, per-cell
-    results along the first axis out, concatenated in cell order."""
+    embedded cell centers (b, 2n) and tangent frames (b, 2n, 2k) in, a tuple of
+    per-cell columns out, each filled into its own array (a wide stack raised peak RSS)."""
     centers = s.cell_centers()
     dim, width = 2 * s.n_pairs, 2 * s.k
-    out = []
+    out = None
     for start in range(0, len(centers), _BLOCK):
         block = centers[start : start + _BLOCK]
         points = np.asarray(s.embed(block), dtype=float)
@@ -187,13 +188,17 @@ def _per_cell(s: SurfaceParam, fn) -> np.ndarray:
         if points.shape != (len(block), dim) or frames.shape != (len(block), dim, width):
             raise ValueError(f"embed and jacobian must map (b, {width}) points to (b, {dim}) and "
                              f"(b, {dim}, {width}), got {points.shape} and {frames.shape}")
-        out.append(fn(points, frames))
-    return np.concatenate(out)
+        columns = fn(points, frames)
+        out = out or tuple(np.empty((len(centers),) + np.shape(c)[1:]) for c in columns)
+        for whole, c in zip(out, columns):
+            whole[start : start + len(block)] = c
+    return out
 
 
 def surface_area(s: SurfaceParam) -> float:
     """Midpoint quadrature of the Riemannian 2k-area, sum sqrt(Gram) dcell."""
-    return float(np.sum(_per_cell(s, lambda x, L: volume_2k(L)))) * s.cell_volume
+    (sqrtg,) = _per_cell(s, lambda x, L: (volume_2k(L),))
+    return float(np.sum(sqrtg)) * s.cell_volume
 
 
 def pullback_density(s: SurfaceParam, point) -> float:
@@ -204,7 +209,7 @@ def pullback_density(s: SurfaceParam, point) -> float:
 
 def parasymplectic_residual(s: SurfaceParam) -> float:
     """max |pullback density - 1| over the grid's cell centers."""
-    density = _per_cell(s, lambda x, L: poincare_cartan_sum(L))
+    (density,) = _per_cell(s, lambda x, L: (poincare_cartan_sum(L),))
     return float(np.max(np.abs(density - 1.0)))
 
 
@@ -232,7 +237,7 @@ def shadow_area_factor(s: SurfaceParam, Phi, target, point) -> float:
 def _mapped_densities(s: SurfaceParam, Phi) -> np.ndarray:
     """Symplectic density (1/k!) omega^k of the mapped frame Phi L per cell."""
     Phi = np.eye(2 * s.n_pairs) if Phi is None else np.asarray(Phi, dtype=float)
-    return _per_cell(s, lambda x, L: poincare_cartan_sum(Phi @ L))
+    return _per_cell(s, lambda x, L: (poincare_cartan_sum(Phi @ L),))[0]
 
 
 def signed_shadow_integral(s: SurfaceParam, Phi=None) -> float:
@@ -251,10 +256,10 @@ def unsigned_shadow_integral(s: SurfaceParam, Phi=None) -> float:
 class DensityMap:
     """First-order shadow density of a mapped surface on one pair plane.
 
-    One record per grid cell: parameter midpoint (u, v), image-plane point
-    (P, Q) of the mapped deviation from the anchor, density sigma (NaN on
-    caustic cells), probability mass, and the caustic flag.  Probabilities
-    sum to 1 over all cells including caustic ones.
+    One record per grid cell from one walk: parameter midpoint (u, v), image
+    point (P, Q) of the mapped deviation from the anchor, density sigma (NaN on
+    caustic cells), probability (summing to 1 over all cells), caustic flag, and
+    area factor and symplectic density of the frames L and Phi L.
     """
 
     target_pair: int
@@ -263,6 +268,10 @@ class DensityMap:
     sigma: np.ndarray  # (m,)
     prob: np.ndarray  # (m,)
     caustic: np.ndarray  # (m,) bool
+    area_factor: np.ndarray  # (m,) sqrt Gram of L
+    pullback_density: np.ndarray  # (m,) (1/k!) omega^k on L
+    mapped_area_factor: np.ndarray  # (m,) sqrt Gram of Phi L
+    mapped_density: np.ndarray  # (m,) (1/k!) omega^k on Phi L
 
     @property
     def caustic_count(self) -> int:
@@ -273,36 +282,28 @@ class DensityMap:
         return float(np.sum(self.prob))
 
 
-def density_map(
-    s: SurfaceParam,
-    Phi,
-    target: int,
-    caustic_tol: float = 1e-12,
-    image_offset: Optional[np.ndarray] = None,
-) -> DensityMap:
+def density_map(s: SurfaceParam, Phi, target: int, caustic_tol: float = 1e-12) -> DensityMap:
     """Map a uniformly weighted surface through Phi and project the result
     onto the (p_target, q_target) plane as a piecewise density.
 
     The map is first order about the surface anchor: deviations x - anchor
     are pushed through Phi, so image points are deviations on the target
-    plane (shifted by image_offset when given).  Cells whose shadow
-    determinant is below caustic_tol carry probability but no finite density
-    and are flagged.  Raises CausticError when every cell is caustic.
+    plane.  Cells whose shadow determinant is below caustic_tol carry
+    probability but no finite density and are flagged.  Raises CausticError
+    when every cell is caustic.
     """
     if s.k != 1:
         raise ValueError("density maps are defined for 2-dimensional surfaces (k = 1)")
     Phi = np.asarray(Phi, dtype=float)
     P = pair_projection(int(target), s.n_pairs)
-    shadow_map = P.T @ Phi
 
     def cell(x, L):
         image = np.matmul(P.T, np.matmul(Phi, (x - s.anchor)[..., None]))[..., 0]
-        return np.column_stack([image, volume_2k(L), np.linalg.det(shadow_map @ L)])
+        PL = Phi @ L
+        return (image, volume_2k(L), poincare_cartan_sum(L), volume_2k(PL),
+                poincare_cartan_sum(PL), np.linalg.det(P.T @ PL))
 
-    cells = _per_cell(s, cell)
-    image, (sqrtg, shadow) = cells[:, :2], cells[:, 2:].T.copy()
-    if image_offset is not None:
-        image = image + np.asarray(image_offset, dtype=float)
+    image, sqrtg, pullback, mapped, mapped_density, shadow = _per_cell(s, cell)
 
     caustic = np.abs(shadow) < caustic_tol
     if bool(np.all(caustic)):
@@ -315,6 +316,7 @@ def density_map(
     ok = ~caustic
     sigma[ok] = sqrtg[ok] / (np.abs(shadow[ok]) * s.cell_volume * total_sqrtg)
     return DensityMap(
-        target_pair=int(target), uv=s.cell_centers(), image=image,
-        sigma=sigma, prob=prob, caustic=caustic,
+        target_pair=int(target), uv=s.cell_centers(), image=image, sigma=sigma, prob=prob,
+        caustic=caustic, area_factor=sqrtg, pullback_density=pullback,
+        mapped_area_factor=mapped, mapped_density=mapped_density,
     )

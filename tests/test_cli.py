@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +22,31 @@ from symvol.invariants import (
     subdet_table,
     wirtinger_check,
 )
-from symvol.io import fmt, invariant_report_to_csv, load_trajectory, trajectory_to_json, write_json
+from symvol.io import (
+    density_map_to_csv,
+    fmt,
+    invariant_report_to_csv,
+    load_trajectory,
+    trajectory_to_json,
+    write_json,
+)
 from symvol.propagation import IntegratorStats, Trajectory, solve_ode_rk45
 from symvol.phase import pair_stack, symplecticity_residual
 from symvol.rolling_disc import disc_propagate, zero_projection_control
+from symvol.surfaces import (
+    CausticError,
+    density_map,
+    lamina,
+    linear_graph_surface,
+    mapped_area_factor,
+    parasymplectic_residual,
+    pullback_density,
+    signed_shadow_integral,
+    surface_area,
+    unsigned_shadow_integral,
+)
 
-from conftest import BETA_FIXTURE, equal_rotation, squeeze_rotate
+from conftest import BETA_FIXTURE, compose_surface, equal_rotation, squeeze_rotate
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -181,6 +201,39 @@ class TestConfigErrors:
         assert capsys.readouterr().err == (
             f"config error: stm.sample {sample} out of range for a trajectory of 3 samples\n"
         )
+
+    @pytest.mark.parametrize("command", ["skeleton", "surface"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_stm(self, tmp_path, capsys, command, value):
+        # json reads NaN and Infinity; such a matrix used to fail deep in the
+        # skeleton ("need at least one array to concatenate") or an SVD
+        cfg = {"stm": {"matrix": [[value, 0.0], [0.0, 1.0]]}}
+        if command == "surface":
+            cfg["surface"] = {"type": "lamina", "n_pairs": 1, "cells": [4, 4]}
+        assert run(tmp_path, command, cfg)[0] == 2
+        assert capsys.readouterr().err == (
+            "config error: stm has non-finite entries (NaN or infinity)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "times, width, message",
+        [
+            # one more time than STMs used to raise an IndexError (exit 1)
+            ([0.0, 1.0, 2.0], 4, "trajectory stms has shape (2, 4, 4), expected (3, 4, 4) "
+             "for states of shape (3, 4)"),
+            # 2-wide states with 4 x 4 STMs used to be analysed as n = 1
+            ([0.0, 1.0], 2, "trajectory stms has shape (2, 4, 4), expected (2, 2, 2) "
+             "for states of shape (2, 2)"),
+        ],
+    )
+    def test_trajectory_shapes_are_checked(self, tmp_path, capsys, times, width, message):
+        traj = tmp_path / "hand.json"
+        traj.write_text(json.dumps({
+            "times": times, "states": np.zeros((len(times), width)).tolist(),
+            "stms": [np.eye(4).tolist()] * 2, "energy_drift": [0.0] * len(times),
+        }))
+        assert run(tmp_path, "invariants", {"trajectory": str(traj)})[0] == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize(
         "command, cfg, field",
@@ -621,6 +674,27 @@ class TestSurface:
         assert code == 2
         assert "surface.bounds" in capsys.readouterr().err
 
+    def test_one_base_walk_and_two_refined_walks(self, tmp_path, monkeypatch):
+        blocks = []
+
+        def counted(*args, **kwargs):
+            s = linear_graph_surface(*args, **kwargs)
+
+            def jacobian(u):
+                blocks.append(len(u))
+                return s.jacobian(u)
+
+            return replace(s, jacobian=jacobian)
+
+        monkeypatch.setattr("symvol.cli.linear_graph_surface", counted)
+        spec = {"type": "linear_graph", "pair": 2, "n_pairs": 3, "cells": [20, 20],
+                "coeffs": [[0.1, 0.3], [-0.2, 0.0], [0.0, 0.4], [0.25, -0.1]]}
+        assert run(tmp_path, "surface", {"surface": spec, "refine": 2})[0] == 0
+        # 400 base cells in 2 blocks of 256; the 1600 refined cells in 7, walked
+        # once for the area and once for the signed shadow
+        assert len(blocks) == 2 + 2 * 7
+        assert sum(blocks) == 400 + 2 * 1600
+
     def test_linear_graph_needs_coeffs(self, tmp_path, capsys):
         code, _ = run(
             tmp_path,
@@ -629,6 +703,93 @@ class TestSurface:
         )
         assert code == 2
         assert "coeffs" in capsys.readouterr().err
+
+
+def _reference_surface(s, Phi, target, tol, refine):
+    """The surface report and density map built from the public functions,
+    the mapped per-cell figures one cell at a time: the reference for the
+    command's one-walk path."""
+    mapped = compose_surface(s, Phi)
+    factors = np.array([mapped_area_factor(s, Phi, pt) for pt in s.cell_centers()])
+    density = np.array([pullback_density(mapped, pt) for pt in s.cell_centers()])
+    cv = s.cell_volume
+    dm = density_map(s, Phi, target)
+    shadow_sum_err = parasymplectic_residual(mapped) if s.parasymplectic else None
+    wirtinger_margin = float(np.min(factors - np.abs(density)))
+    violations = []
+    if s.parasymplectic and shadow_sum_err > tol:
+        violations.append(f"shadow-sum law broken by {fmt(shadow_sum_err)}")
+    if wirtinger_margin < -tol:
+        violations.append(f"pointwise area bound broken by {fmt(-wirtinger_margin)}")
+    if abs(dm.total_prob - 1.0) > 1e-6:
+        violations.append(f"cell probabilities sum to {fmt(dm.total_prob)}")
+    refined = None
+    if refine:
+        rs = s.refined(refine)
+        refined = {"factor": refine, "area": surface_area(rs),
+                   "signed_shadow": signed_shadow_integral(rs, Phi)}
+        refined["area_change"] = refined["area"] - surface_area(s)
+    report = {
+        "surface": s.name,
+        "n_pairs": s.n_pairs,
+        "cells": list(s.cells),
+        "parasymplectic": s.parasymplectic,
+        "parasymplectic_residual": parasymplectic_residual(s),
+        "area": surface_area(s),
+        "mapped_area": float(np.sum(factors)) * cv,
+        "expansion_min": float(np.min(factors)),
+        "expansion_max": float(np.max(factors)),
+        "signed_shadow": signed_shadow_integral(s, Phi),
+        "unsigned_shadow": unsigned_shadow_integral(s, Phi),
+        "shadow_sum_error": shadow_sum_err,
+        "wirtinger_margin_min": wirtinger_margin,
+        "target_pair": target,
+        "caustic_count": dm.caustic_count,
+        "total_prob": dm.total_prob,
+        "refined": refined,
+        "violations": violations,
+    }
+    return report, dm
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    graph=st.booleans(),
+    n=st.integers(1, 3),
+    cells=st.sampled_from([(3, 5), (17, 16)]),  # 272 cells span two blocks of the walk
+    scale=st.floats(0.0, 2.0),
+    tol=st.sampled_from([1e-8, 1e-15]),
+    refine=st.sampled_from([None, 2]),
+)
+@settings(max_examples=25, deadline=None)
+def test_surface_report_matches_reference(seed, graph, n, cells, scale, tol, refine):
+    rng = np.random.default_rng(seed)
+    n = max(n, 2) if graph else n
+    pair, target = (int(i) for i in rng.integers(1, n + 1, size=2))
+    spec = {"type": "lamina", "pair": pair, "n_pairs": n, "cells": list(cells)}
+    if graph:
+        spec.update(type="linear_graph", coeffs=rng.uniform(-0.5, 0.5, (2 * n - 2, 2)).tolist())
+        s = linear_graph_surface(pair, n, spec["coeffs"], cells=cells)
+    else:
+        s = lamina(pair, n, cells=cells)
+    Phi = random_symplectic(n, rng, scale)
+    cfg = {"surface": spec, "stm": {"matrix": Phi.tolist()}, "target_pair": target,
+           "tolerance": tol}
+    if refine:
+        cfg["refine"] = refine
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        code, out = run(tmp, "surface", cfg)
+        try:
+            ref, dm = _reference_surface(s, Phi, target, tol, refine)
+        except CausticError:
+            assert code == 4
+            return
+        write_json(ref, tmp / "ref.json")
+        density_map_to_csv(dm, tmp / "ref.csv")
+        assert code == (4 if ref["violations"] else 0)
+        assert (out / "surface.json").read_bytes() == (tmp / "ref.json").read_bytes()
+        assert (out / "surface_density.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
 
 
 class TestExample:

@@ -289,6 +289,29 @@ class TestTrajectoryValidation:
                 None,
             )
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            # one more time than STMs
+            ({"times": [0.0, 1.0, 2.0], "states": np.zeros((3, 4)), "energy_drift": np.zeros(3)},
+             r"stms has shape \(2, 4, 4\), expected \(3, 4, 4\) for states of shape \(3, 4\)"),
+            # 2-wide states with 4 x 4 STMs used to be read as n = 1
+            ({"states": np.zeros((2, 2))}, r"trajectory stms has shape \(2, 4, 4\), expected \(2, 2, 2\)"),
+            ({"times": [0.0]}, r"trajectory times has shape \(1,\), expected \(2,\)"),
+            ({"residuals": np.zeros(3)}, r"trajectory residuals has shape \(3,\), expected \(2,\)"),
+            ({"energy_drift": 0.0}, r"trajectory energy_drift has shape \(\), expected \(2,\)"),
+            ({"states": np.zeros((2, 3))}, r"trajectory states must have shape \(m, 2n\), got \(2, 3\)"),
+            ({"states": np.zeros(4)}, r"trajectory states must have shape \(m, 2n\), got \(4,\)"),
+        ],
+    )
+    def test_rejects_mismatched_shapes(self, changes, message):
+        fields = {"times": [0.0, 1.0], "states": np.zeros((2, 4)),
+                  "stms": np.tile(np.eye(4), (2, 1, 1)), "residuals": np.zeros(2),
+                  "energy_drift": np.zeros(2)}
+        fields.update(changes)
+        with pytest.raises(ValueError, match=message):
+            Trajectory("x", stats=None, **fields)
+
 
 def _kernel_rhs(sys, x, Phi):
     """(x-dot, Phi-dot) from the propagate kernel's augmented RHS."""

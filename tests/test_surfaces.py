@@ -389,6 +389,7 @@ def per_point_reference(s, Phi, target):
                 len(subsets) * np.prod(np.linalg.norm(Phi @ s.jacobian(pt), axis=0)),
                 shadow_area_factor(s, Phi, target, pt) if s.k == 1 else 0.0,
                 *(P.T @ (Phi @ (s.embed(pt) - s.anchor))),
+                mapped_area_factor(s, Phi, pt),
             ]
         )
     return np.array(rows).T
@@ -396,7 +397,7 @@ def per_point_reference(s, Phi, target):
 
 def assert_walk_matches_reference(s, Phi, target):
     cv = s.cell_volume
-    sqrtg, pullback, shadow_sum, hadamard, shadow, P_img, Q_img = per_point_reference(
+    sqrtg, pullback, shadow_sum, hadamard, shadow, P_img, Q_img, mapped = per_point_reference(
         s, Phi, target
     )
     assert surface_area(s) == pytest.approx(np.sum(sqrtg) * cv, rel=1e-13)
@@ -421,6 +422,11 @@ def assert_walk_matches_reference(s, Phi, target):
     )
     np.testing.assert_allclose(dm.image, np.column_stack([P_img, Q_img]), rtol=1e-13, atol=1e-15)
     assert np.array_equal(dm.uv, s.cell_centers())
+    # the columns the surface report reads from the same walk
+    np.testing.assert_allclose(dm.area_factor, sqrtg, rtol=1e-13)
+    np.testing.assert_allclose(dm.pullback_density, pullback, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(dm.mapped_area_factor, mapped, rtol=1e-13)
+    assert np.all(np.abs(dm.mapped_density - shadow_sum) <= 1e-13 * hadamard)
 
 
 # 17 x 31 = 527 cells spans three blocks of the grid walk, the last one
