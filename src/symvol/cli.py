@@ -51,7 +51,7 @@ from .invariants import (
     subdet_table,
     volume_2k,
 )
-from .propagation import _MIN_STEP, IntegrationError, IntegratorSettings, propagate
+from .propagation import IntegrationError, IntegratorSettings, _sample_nodes, propagate
 from .rolling_disc import (
     disc_propagate,
     open_loop_control,
@@ -385,18 +385,13 @@ def _make_system(spec):
     return builtin_system(name, **params)
 
 
-def _make_settings(cfg) -> IntegratorSettings:
-    return IntegratorSettings(**cfg.get("integrator", {}))
-
-
 def _run_propagation(cfg):
     system = _make_system(cfg["system"])
-    settings = _make_settings(cfg)
     return propagate(
         system,
         np.asarray(cfg["initial_state"], dtype=float),
         tuple(cfg["t_span"]),
-        settings,
+        IntegratorSettings(**cfg.get("integrator", {})),
         samples=cfg.get("samples", 100),
         t_eval=cfg.get("t_eval"),
     )
@@ -437,6 +432,7 @@ def _tolerance(cfg, args, default=1e-8) -> float:
 
 
 def cmd_propagate(cfg, args, outdir: Path) -> int:
+    """co-integrate a Hamiltonian system and its STM, write the trajectory"""
     traj = _run_propagation(cfg)
     base = cfg.get("output", "trajectory")
     if args.format == "json":
@@ -462,6 +458,8 @@ def cmd_propagate(cfg, args, outdir: Path) -> int:
 
 
 def cmd_invariants(cfg, args, outdir: Path) -> int:
+    """per-sample subdeterminant tables, bracket sums, split expansion factors /
+    collapse angles, Wirtinger margins; nonzero exit on violations"""
     if "trajectory" in cfg:
         traj = sio.load_trajectory(cfg["trajectory"])
     elif all(k in cfg for k in ("system", "initial_state", "t_span")):
@@ -562,6 +560,7 @@ def cmd_invariants(cfg, args, outdir: Path) -> int:
 
 
 def cmd_skeleton(cfg, args, outdir: Path) -> int:
+    """conjugate eigenpair analysis of one STM"""
     rng = np.random.default_rng(args.seed)
     Phi = _resolve_stm(cfg["stm"], rng)
     tol = _tolerance(cfg, args)
@@ -609,6 +608,7 @@ def _make_surface(spec):
 
 
 def cmd_surface(cfg, args, outdir: Path) -> int:
+    """area, shadow and density-map report for a parameterized surface"""
     rng = np.random.default_rng(args.seed)
     s = _make_surface(cfg["surface"])
     n = s.n_pairs
@@ -757,11 +757,7 @@ def _example_disc(cfg, t_final, times, snap_path: Path):
         ctrl = zero_projection_control(heis.u, heis.v)
     else:
         ctrl = open_loop_control(heis.u, heis.v, lambda t, w0=spec.get("w", 0.0): w0)
-    grid = np.linspace(0.0, t_final, cfg.get("samples", 101))[:, None]
-    # keep the start; drop nodes nearer a snapshot time than the integrator's smallest step
-    near = np.abs(grid - times) < _MIN_STEP * np.maximum(np.minimum(grid, times), 1.0)
-    near[0] = False
-    t_eval = np.unique(np.concatenate([grid[~near.any(axis=1), 0], times]))
+    t_eval, at = _sample_nodes(np.linspace(0.0, t_final, cfg.get("samples", 101)), times)
     traj = disc_propagate(
         ctrl, cfg.get("initial_state", [0.0, 0.0, 0.0, 0.5 * math.pi, 0.0]), (0.0, t_final),
         rel_tol=cfg.get("rel_tol", 1e-11), abs_tol=cfg.get("abs_tol", 1e-13), t_eval=t_eval,
@@ -772,8 +768,8 @@ def _example_disc(cfg, t_final, times, snap_path: Path):
         a, b, c, d = abcd
         return a * du + c * dv, b * du + d * dv
 
-    at_times = traj.integrals[np.searchsorted(traj.times, times), :4]
-    _write_snapshots(cfg, snap_path, ["t", "u", "v", "dx", "dy"], times, at_times, shadow, default_half=0.1)
+    _write_snapshots(cfg, snap_path, ["t", "u", "v", "dx", "dy"], times, traj.integrals[at, :4], shadow,
+                     default_half=0.1)
     A, B, C, D = traj.integrals[:, :4].T
     return {
         "control": heis.name + ("+compliant" if compliant else ""),
@@ -787,6 +783,7 @@ _SUMMARY_KEYS = ("example", "control", "mu1", "nu1", "alpha1", "alpha_residual",
 
 
 def cmd_example(cfg, args, outdir: Path) -> int:
+    """the two case studies (heisenberg | disc) with configured controls"""
     base = cfg.get("output", cfg["example"])
     snap_path = outdir / f"{base}_snapshots.csv"
     t_final = cfg.get("t_final", 1.0)

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .propagation import IntegratorSettings, _co_integrate, solve_ode_rk45
+from .propagation import IntegratorSettings, _co_integrate, _sample_nodes, solve_ode_rk45
 
 __all__ = [
     "HeisenbergControl",
@@ -151,12 +151,12 @@ def moments(ctrl: HeisenbergControl, t, rel_tol: float = 1e-12) -> Moments | lis
     times = np.asarray(t, dtype=float).ravel() + 0.0  # + 0.0 turns -0.0 into 0.0
     if not np.all(times >= 0.0):
         raise ValueError(f"moment times must be >= 0, got {t}")
-    nodes = np.unique(np.append(times, 0.0))
+    nodes, index = _sample_nodes([0.0], times)
     Y = np.zeros((1, 3))
     if nodes.size > 1:
         Y, _ = solve_ode_rk45(_moment_rates(ctrl), 0.0, np.zeros(3), nodes, rel_tol=rel_tol, abs_tol=1e-14)
     out = []
-    for s, (mu, nu, alpha_quad) in zip(times.tolist(), Y[np.searchsorted(nodes, times)].tolist()):
+    for s, (mu, nu, alpha_quad) in zip(times.tolist(), Y[index].tolist()):
         alpha = float(ctrl.alpha_fn(s)) if ctrl.alpha_fn is not None else alpha_quad
         out.append(Moments(s, mu, nu, alpha, alpha_quad, abs(alpha - alpha_quad)))
     return out if np.ndim(t) else out[0]

@@ -154,21 +154,20 @@ def trajectory_to_json(traj: Trajectory, path):
 
 
 def _loaded_stats(meta=None) -> IntegratorStats:
-    if meta:
-        def num(key):  # NaN round-trips as JSON null
-            v = meta.get(key)
-            return math.nan if v is None else float(v)
+    if not meta:
+        return IntegratorStats("loaded", 0, 0, 0, math.nan, math.nan)
+    if not isinstance(meta, dict):
+        raise ValueError(f"trajectory stats must be an object, got {type(meta).__name__}")
 
-        return IntegratorStats(
-            method=meta.get("method", "loaded"),
-            steps=int(meta.get("steps", 0)),
-            rejected=int(meta.get("rejected", 0)),
-            rhs_evals=int(meta.get("rhs_evals", 0)),
-            rel_tol=num("rel_tol"),
-            abs_tol=num("abs_tol"),
-            budget_exceedances=int(meta.get("budget_exceedances", 0)),
-        )
-    return IntegratorStats("loaded", 0, 0, 0, math.nan, math.nan)
+    def num(key, cast=int):  # a counter defaults to 0; a tolerance to NaN, spelled null
+        v = meta.get(key, 0 if cast is int else None)
+        try:
+            return math.nan if v is None and cast is float else cast(v)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"trajectory stats.{key} must be a number, got {v!r}") from None
+
+    return IntegratorStats(meta.get("method", "loaded"), num("steps"), num("rejected"), num("rhs_evals"),
+                           num("rel_tol", float), num("abs_tol", float), num("budget_exceedances"))
 
 
 def load_trajectory(path) -> Trajectory:
@@ -176,8 +175,10 @@ def load_trajectory(path) -> Trajectory:
     path = Path(path)
     if path.suffix.lower() == ".json":
         obj = read_json(path)
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}: a trajectory JSON must be an object, got {type(obj).__name__}")
         stms = np.asarray(obj["stms"], dtype=float)
-        drift = [math.nan if v is None else float(v) for v in obj["energy_drift"]]
+        drift = np.asarray(obj["energy_drift"], dtype=float)  # null reads as NaN
         return Trajectory(
             obj.get("system", "loaded"), obj["times"], obj["states"], stms,
             symplecticity_residual(stms), drift, _loaded_stats(obj.get("stats")),

@@ -79,6 +79,31 @@ def _finite(v: np.ndarray) -> bool:
     return bool(np.logical_and.reduce(np.isfinite(v)))
 
 
+def _nodes(t0, t_eval) -> list:
+    """The sample nodes as floats, checked alike for both steppers: at least
+    two, the first equal to t0, strictly monotone either way."""
+    t_eval = np.asarray(t_eval, dtype=float)
+    if t_eval.size < 2 or t_eval[0] != t0:
+        raise ValueError("t_eval must start at t0 and contain at least two nodes")
+    d = np.diff(t_eval)
+    if not (np.all(d > 0) or np.all(d < 0)):
+        raise ValueError("t_eval must be strictly monotone")
+    return t_eval.tolist()
+
+
+def _sample_nodes(grid, times):
+    """Forward sample nodes that hit every one of times exactly: the grid,
+    less each node but the first that lies nearer a time than the solvers'
+    smallest step there, merged with the times, sorted and distinct.
+    Returns the nodes and the index of each time among them."""
+    grid = np.asarray(grid, dtype=float)[:, None]
+    times = np.asarray(times, dtype=float)
+    near = np.abs(grid - times) < _MIN_STEP * np.maximum(np.minimum(grid, times), 1.0)
+    near[0] = False
+    nodes = np.unique(np.concatenate([grid[~near.any(axis=1), 0], times]))
+    return nodes, np.searchsorted(nodes, times)
+
+
 def _initial_step(f, t0, y0, f0, direction, rel_tol, abs_tol, span):
     scale = abs_tol + rel_tol * np.abs(y0)
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
@@ -113,16 +138,9 @@ def solve_ode_rk45(
     solver overwrites later, so f must not keep a reference to it.
     """
     y0 = np.asarray(y0, dtype=float)
-    t_eval = np.asarray(t_eval, dtype=float)
-    if t_eval.size < 2 or t_eval[0] != t0:
-        raise ValueError("t_eval must start at t0 and contain at least two nodes")
-    d = np.diff(t_eval)
-    if not (np.all(d > 0) or np.all(d < 0)):
-        raise ValueError("t_eval must be strictly monotone")
-    direction = 1.0 if d[0] > 0 else -1.0
-    nodes = t_eval.tolist()
-    t_end = nodes[-1]
-    span = abs(t_end - t0)
+    nodes = _nodes(t0, t_eval)
+    direction = 1.0 if nodes[1] > nodes[0] else -1.0
+    span = abs(nodes[-1] - t0)
 
     m = y0.size
     out = np.empty((len(nodes), m))
@@ -151,14 +169,11 @@ def solve_ode_rk45(
         if n_steps + n_rejected >= max_steps:
             raise IntegrationError(f"step budget {max_steps} exhausted at t = {t}")
         # clamp the attempted step to land exactly on the next sample node
-        remaining = abs(t_end - t)
-        h_attempt = min(h, max_step, remaining)
+        h_attempt = min(h, max_step)
         target = nodes[next_eval]
-        if abs(target - t) <= h_attempt * (1 + 1e-12):
+        lands = abs(target - t) <= h_attempt * (1 + 1e-12)
+        if lands:
             h_attempt = abs(target - t)
-            lands = True
-        else:
-            lands = False
         if h_attempt < _MIN_STEP * max(abs(t), 1.0):
             raise IntegrationError(f"step size underflow at t = {t}")
 
@@ -227,7 +242,8 @@ def solve_ode_rk4(
     n_steps: int = 1000,
     max_steps: int = 10_000_000,
 ):
-    """Classical fixed-step RK4, hitting every t_eval node exactly.
+    """Classical fixed-step RK4, hitting every t_eval node exactly (t_eval
+    as in solve_ode_rk45).
 
     The n_steps budget is distributed over the sample intervals in proportion
     to their length (at least one step per interval); if the distributed
@@ -236,13 +252,8 @@ def solve_ode_rk4(
     y handed to f is a work buffer that f must not keep.
     """
     y0 = np.asarray(y0, dtype=float)
-    t_eval = np.asarray(t_eval, dtype=float)
-    if t_eval.size < 2 or t_eval[0] != t0:
-        raise ValueError("t_eval must start at t0 and contain at least two nodes")
-    nodes = t_eval.tolist()
+    nodes = _nodes(t0, t_eval)
     span = abs(nodes[-1] - t0)
-    if span == 0:
-        raise ValueError("degenerate time span")
 
     subs = [max(1, int(round(n_steps * abs(tb - ta) / span))) for ta, tb in zip(nodes, nodes[1:])]
     total_sub = sum(subs)
@@ -439,6 +450,9 @@ class Trajectory:
             if getattr(self, name).shape != shape:
                 raise ValueError(f"trajectory {name} has shape {getattr(self, name).shape}, "
                                  f"expected {shape} for states of shape {(m, dim)}")
+        for name in ("times", "states", "stms"):  # energy_drift is NaN without an H
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"trajectory {name} has non-finite entries (NaN or infinity)")
         d = np.diff(self.times)
         if not (np.all(d > 0) or np.all(d < 0)):
             raise ValueError("sample times must be strictly monotone")
@@ -559,13 +573,6 @@ def propagate(
             RuntimeWarning,
             stacklevel=2,
         )
-    stats = IntegratorStats(
-        method=settings.method,
-        steps=raw["steps"],
-        rejected=raw["rejected"],
-        rhs_evals=raw["rhs_evals"],
-        rel_tol=settings.rel_tol,
-        abs_tol=settings.abs_tol,
-        budget_exceedances=exceed,
-    )
+    stats = IntegratorStats(method=settings.method, rel_tol=settings.rel_tol,
+                            abs_tol=settings.abs_tol, budget_exceedances=exceed, **raw)
     return Trajectory(sys.name, t_eval, states, stms, residuals, drift, stats)

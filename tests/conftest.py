@@ -1,6 +1,9 @@
-"""Shared fixtures: hand-checked symplectic matrices and surface helpers."""
+"""Shared fixtures: hand-checked symplectic matrices, surface helpers and
+malformed trajectory files."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,35 @@ PENDULUM_X10 = np.array([0.053830314556607049, -0.084250604429936676])
 
 # asin(0.64): collapse angle of the squeeze_rotate fixture for split {1}|{2}
 BETA_FIXTURE = 0.694498265626556
+
+
+# a hand-written two-sample n = 1 trajectory, and the ways a file can break it
+HAND_TRAJECTORY = {"times": [0.0, 1.0], "states": [[0.0, 0.0], [0.0, 0.0]],
+                   "stms": [[[1.0, 0.0], [0.0, 1.0]]] * 2, "energy_drift": [0.0, 0.0]}
+BAD_TRAJECTORY_FILES = [
+    ("list.json", [1, 2], "{path}: a trajectory JSON must be an object, got list"),
+    ("stats_list.json", {**HAND_TRAJECTORY, "stats": [1]},
+     "trajectory stats must be an object, got list"),
+    ("stats_null.json", {**HAND_TRAJECTORY, "stats": {"steps": None}},
+     "trajectory stats.steps must be a number, got None"),
+    ("drift_number.json", {**HAND_TRAJECTORY, "energy_drift": 5},
+     "trajectory energy_drift has shape (), expected (2,) for states of shape (2, 2)"),
+    ("nan.json", {**HAND_TRAJECTORY, "stms": [[[math.nan, 0.0], [0.0, 1.0]]] * 2},
+     "trajectory stms has non-finite entries (NaN or infinity)"),
+    ("inf.json", {**HAND_TRAJECTORY, "stms": [[[1.0, 0.0], [math.inf, 1.0]]] * 2},
+     "trajectory stms has non-finite entries (NaN or infinity)"),
+    ("nan.csv", "t,x_1,x_2,phi_11,phi_12,phi_21,phi_22,sympl_residual,energy_drift\n"
+     "0,0,0,1,0,0,1,0,0\n1,0,0,nan,0,0,1,0,0\n",
+     "trajectory stms has non-finite entries (NaN or infinity)"),
+]
+
+
+def write_bad_trajectory(tmp_path, name, content) -> Path:
+    """The file name under tmp_path holding content: CSV text, or an object
+    json writes with its NaN and Infinity literals."""
+    path = tmp_path / name
+    path.write_text(content if name.endswith(".csv") else json.dumps(content))
+    return path
 
 
 def compose_surface(s: SurfaceParam, Phi: np.ndarray) -> SurfaceParam:

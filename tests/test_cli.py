@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symvol import heisenberg
+from symvol import cli, heisenberg
 from symvol.cli import main
 from symvol.heisenberg import constant_control, moments
 from symvol.invariants import (
@@ -46,7 +47,14 @@ from symvol.surfaces import (
     unsigned_shadow_integral,
 )
 
-from conftest import BETA_FIXTURE, compose_surface, equal_rotation, squeeze_rotate
+from conftest import (
+    BAD_TRAJECTORY_FILES,
+    BETA_FIXTURE,
+    compose_surface,
+    equal_rotation,
+    squeeze_rotate,
+    write_bad_trajectory,
+)
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -234,6 +242,15 @@ class TestConfigErrors:
         }))
         assert run(tmp_path, "invariants", {"trajectory": str(traj)})[0] == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("name, content, message", BAD_TRAJECTORY_FILES,
+                             ids=[case[0] for case in BAD_TRAJECTORY_FILES])
+    def test_malformed_trajectory_file(self, tmp_path, capsys, name, content, message):
+        # these exited 1 with a traceback, or (NaN) 0 with no violation, or
+        # (infinity) 4; a NaN STM reported "max column-sum error nan"
+        path = write_bad_trajectory(tmp_path, name, content)
+        assert run(tmp_path, "invariants", {"trajectory": str(path)})[0] == 2
+        assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
 
     @pytest.mark.parametrize(
         "command, cfg, field",
@@ -1003,6 +1020,22 @@ def test_snapshot_bounds_of_numbers_is_a_config_error(tmp_path, capsys):
     code, _ = run(tmp_path, "example", {"example": "heisenberg", "snapshot_bounds": [1, 2]})
     assert code == 2
     assert "snapshot_bounds" in capsys.readouterr().err
+
+
+def test_help_lists_each_subcommand_description(capsys, monkeypatch):
+    # the descriptions are the cmd_* docstrings, the rows of the module's table;
+    # the subcommands used to be listed with blank descriptions
+    table = cli.__doc__.split("-----------\n")[1].split("\n\n")[0]
+    rows = dict(row.split(None, 1) for row in re.split(r"\n(?=\S)", table))
+    monkeypatch.setenv("COLUMNS", "300")  # one line per subcommand
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    listed = capsys.readouterr().out.splitlines()
+    assert list(rows) == list(cli._COMMANDS)
+    for name, description in rows.items():
+        assert " ".join(cli._COMMANDS[name].__doc__.split()) == " ".join(description.split())
+        assert any(line.split() == [name, *description.split()] for line in listed)
 
 
 def _loaded_by_cli_import(module) -> bool:

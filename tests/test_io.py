@@ -26,6 +26,8 @@ from symvol.propagation import IntegratorStats, Trajectory, propagate
 from symvol.surfaces import density_map, lamina
 from symvol.systems import builtin_system
 
+from conftest import BAD_TRAJECTORY_FILES, HAND_TRAJECTORY, write_bad_trajectory
+
 
 @pytest.fixture
 def pendulum_traj():
@@ -232,6 +234,25 @@ class TestTrajectoryRoundTrip:
         path.write_text("")
         with pytest.raises(ValueError, match="no data"):
             load_trajectory(path)
+
+
+class TestTrajectoryFilesAreChecked:
+    """A malformed trajectory file fails to load with a ValueError naming the
+    field (it used to raise a TypeError or AttributeError, or to load NaN)."""
+
+    @pytest.mark.parametrize("name, content, message", BAD_TRAJECTORY_FILES,
+                             ids=[case[0] for case in BAD_TRAJECTORY_FILES])
+    def test_rejected_with_the_field_named(self, tmp_path, name, content, message):
+        path = write_bad_trajectory(tmp_path, name, content)
+        with pytest.raises(ValueError) as exc:
+            load_trajectory(path)
+        assert str(exc.value) == message.format(path=path)
+
+    def test_null_tolerances_and_missing_counters_load(self, tmp_path):
+        path = write_bad_trajectory(tmp_path, "ok.json", {**HAND_TRAJECTORY, "stats": {"rel_tol": None}})
+        stats = load_trajectory(path).stats
+        assert (stats.method, stats.steps, stats.budget_exceedances) == ("loaded", 0, 0)
+        assert math.isnan(stats.rel_tol) and math.isnan(stats.abs_tol)
 
 
 class TestMatrixRoundTrip:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from symvol.propagation import (
     _augmented_rhs,
     _hamiltonian_field,
     _initial_step,
+    _sample_nodes,
     solve_ode_rk4,
     solve_ode_rk45,
 )
@@ -129,6 +131,44 @@ class TestSolveOdeRk4:
         assert calls == []
         _, stats = solve_ode_rk4(*args, n_steps=777, max_steps=776)
         assert stats["steps"] == 776
+
+
+_START = "t_eval must start at t0 and contain at least two nodes"
+_MONOTONE = "t_eval must be strictly monotone"
+
+
+class TestNodeCheck:
+    """Both steppers check t_eval by one rule, with one message per fault,
+    before their first RHS call."""
+
+    @pytest.mark.parametrize(
+        "t_eval, message",
+        [([0.0], _START), ([0.5, 1.0], _START), ([0.0, 1.0, 0.5], _MONOTONE),
+         ([0.0, 1.0, 1.0], _MONOTONE), ([0.0, -1.0, -1.0], _MONOTONE)],
+        ids=["one node", "wrong start", "unsorted", "repeated", "repeated backward"],
+    )
+    @pytest.mark.parametrize("solver", [solve_ode_rk45, solve_ode_rk4])
+    def test_bad_t_eval(self, solver, t_eval, message):
+        # rk4 used to integrate [0, 1, 0.5] as 0 -> 1 -> 0.5, and to take a
+        # step 0 long on [0, 1, 1]
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return -y
+
+        with pytest.raises(ValueError) as exc:
+            solver(f, 0.0, np.array([1.0]), t_eval)
+        assert str(exc.value) == message
+        assert calls == []
+
+    def test_propagate_rk4_rejects_unsorted_t_eval_before_integrating(self):
+        sys = builtin_system("pendulum")
+        settings = IntegratorSettings(method="rk4", n_steps=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=_MONOTONE):
+                propagate(sys, [0.0, 1.0], (0.0, 1.0), settings, t_eval=[0.0, 0.7, 0.3, 1.0])
 
 
 class TestIntegratorSettings:
@@ -310,6 +350,16 @@ class TestTrajectoryValidation:
                   "energy_drift": np.zeros(2)}
         fields.update(changes)
         with pytest.raises(ValueError, match=message):
+            Trajectory("x", stats=None, **fields)
+
+    @pytest.mark.parametrize("name", ["times", "states", "stms"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite_entries(self, name, value):
+        fields = {"times": np.array([0.0, 1.0]), "states": np.zeros((2, 2)),
+                  "stms": np.tile(np.eye(2), (2, 1, 1)), "residuals": np.zeros(2),
+                  "energy_drift": np.full(2, math.nan)}  # no Hamiltonian: NaN drift is fine
+        fields[name].flat[-1] = value
+        with pytest.raises(ValueError, match=f"trajectory {name} has non-finite entries"):
             Trajectory("x", stats=None, **fields)
 
 
@@ -590,6 +640,71 @@ class TestLeanSteppersMatchReference:
         new = _outcome(solve_ode_rk4, _Field(seed, m, linear, nan_at), t0, y0, t_eval, n_steps=n_steps)
         ref = _outcome(ref_solve_ode_rk4, _Field(seed, m, linear, nan_at), t0, y0, t_eval, n_steps=n_steps)
         assert new == ref
+
+
+def _ref_disc_nodes(grid, times):
+    """The disc example's snapshot-node merge before _sample_nodes, verbatim."""
+    grid = grid[:, None]
+    near = np.abs(grid - times) < _REF_MIN_STEP * np.maximum(np.minimum(grid, times), 1.0)
+    near[0] = False
+    t_eval = np.unique(np.concatenate([grid[~near.any(axis=1), 0], times]))
+    return t_eval, np.searchsorted(t_eval, times)
+
+
+def _ref_moment_nodes(times):
+    """heisenberg.moments' node merge before _sample_nodes, verbatim."""
+    nodes = np.unique(np.append(times, 0.0))
+    return nodes, np.searchsorted(nodes, times)
+
+
+@st.composite
+def _grids_and_times(draw):
+    """A grid linspace(0, T, m) and times in [0, T], unsorted: grid nodes
+    nudged by 0-20 ulp either way, interior points, and repeats."""
+    T = draw(st.sampled_from([0.3, 1.0, 2.0, 7.5, 100.0, 1e4]))
+    grid = np.linspace(0.0, T, draw(st.integers(2, 60)))
+    picks = draw(st.lists(
+        st.one_of(st.tuples(st.integers(0, grid.size - 1), st.integers(-20, 20)),
+                  st.floats(0.0, 1.0)),
+        min_size=1, max_size=8,
+    ))
+    times = []
+    for pick in picks:
+        if isinstance(pick, tuple):
+            i, ulps = pick
+            t = grid[i]
+            for _ in range(abs(ulps)):
+                t = np.nextafter(t, math.copysign(math.inf, ulps))
+        else:
+            t = pick * T
+        times.append(t)
+    times += draw(st.lists(st.sampled_from(times), max_size=3))
+    return grid, np.clip(draw(st.permutations(times)), 0.0, T)
+
+
+class TestSampleNodes:
+    """_sample_nodes gives the nodes and indices of both inline merges it
+    replaced, bit for bit, and every time is a node."""
+
+    @given(case=_grids_and_times())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_both_references(self, case):
+        grid, times = case
+        for g, (nodes, index), (ref_nodes, ref_index) in (
+            (grid, _sample_nodes(grid, times), _ref_disc_nodes(grid, times)),
+            ([0.0], _sample_nodes([0.0], times), _ref_moment_nodes(times)),
+        ):
+            assert nodes.tobytes() == ref_nodes.tobytes()
+            assert index.tobytes() == ref_index.tobytes()
+            assert nodes[index].tobytes() == times.tobytes()
+            assert np.all(np.diff(nodes) > 0)
+            assert nodes[0] == g[0]
+
+    def test_drops_a_grid_node_nearer_a_time_than_the_smallest_step(self):
+        grid = np.linspace(0.0, 2.0, 5)
+        nodes, index = _sample_nodes(grid, [np.nextafter(1.0, 2.0), 0.0])
+        assert nodes.tolist() == [0.0, 0.5, np.nextafter(1.0, 2.0), 1.5, 2.0]
+        assert index.tolist() == [2, 0]
 
 
 _EPS = float(np.finfo(float).eps)
