@@ -51,7 +51,7 @@ from .invariants import (
     subdet_table,
     volume_2k,
 )
-from .propagation import IntegrationError, IntegratorSettings, _sample_nodes, propagate
+from .propagation import IntegrationError, IntegratorSettings, _float_array, _sample_nodes, propagate
 from .rolling_disc import (
     disc_propagate,
     open_loop_control,
@@ -401,7 +401,7 @@ def _resolve_stm(spec, rng) -> np.ndarray:
     if isinstance(spec, str):
         M = sio.load_matrix(spec)
     elif "matrix" in spec:
-        M = np.asarray(spec["matrix"], dtype=float)
+        M = _float_array(spec["matrix"], "stm.matrix")
     elif "trajectory" in spec:
         stms = sio.load_trajectory(spec["trajectory"]).stms
         k = spec.get("sample", -1)
@@ -471,66 +471,55 @@ def cmd_invariants(cfg, args, outdir: Path) -> int:
         )
     n = traj.n_pairs
     tol = _tolerance(cfg, args)
-    splits = [tuple(int(p) for p in s) for s in cfg.get("splits", [])]
-    splits = splits or list(pair_subsets(n, proper=True))
+    splits = [tuple(s) for s in cfg.get("splits", [])] or list(pair_subsets(n, proper=True))
     for s in splits:
-        if any(p < 1 or p > n for p in s):
+        if max(s) > n:
             raise ConfigError(f"split {list(s)} out of range for {n} pairs")
         if list(s) != sorted(set(s)):
             raise ConfigError(f"split {list(s)} must be sorted and duplicate-free")
+    names = ["+".join(map(str, s)) for s in splits]
 
-    # whole-trajectory calls: a volume per distinct pair subset (split or complement)
-    # and an omega^k per split, on the column selection Phi @ pair_stack(S)
+    # one pass per split over the whole trajectory; found holds (sample, message)
+    # pairs, each kind in sample order, and a stable sort by sample interleaves them
     table = subdet_table(traj.stms)
-    col_sums, row_sums = table.column_sums.tolist(), table.row_sums.tolist()
-    complements = {
-        s: tuple(p for p in range(1, n + 1) if p not in s) for s in splits if len(s) < n
-    }
-    nu, bound = {}, {}
-    for S in dict.fromkeys([*splits, *complements.values()]):
-        frames = traj.stms[:, :, [c for p in S for c in (2 * p - 2, 2 * p - 1)]]
-        nu[S] = volume_2k(frames).tolist()
-        if S in splits:
-            bound[S] = np.abs(poincare_cartan_sum(frames)).tolist()
+    found = []
+    for kind, sums in (("column", table.column_sums), ("row", table.row_sums)):
+        for i, j in zip(*np.nonzero(np.abs(sums - 1.0) > tol)):
+            found.append((i, f"{kind} {j + 1} sum deviates by {sio.fmt(sums[i, j] - 1.0)}"))
+    for i in np.nonzero(traj.residuals > tol)[0]:
+        found.append((i, f"symplecticity residual {sio.fmt(traj.residuals[i])}"))
 
-    samples = []
-    violations = []
-    for i, t in enumerate(traj.times.tolist()):
-        at = f"sample {i} (t={sio.fmt(t)})"
-        for kind, sums in (("column", col_sums[i]), ("row", row_sums[i])):
-            for j, v in enumerate(sums, start=1):
-                if abs(v - 1.0) > tol:
-                    violations.append(f"{at}: {kind} {j} sum deviates by {sio.fmt(v - 1.0)}")
-        residual = float(traj.residuals[i])
-        if residual > tol:
-            violations.append(f"{at}: symplecticity residual {sio.fmt(residual)}")
-        split_rows = []
-        for s in splits:
-            name = "+".join(str(p) for p in s)
-            row = {"split": name, "nu": math.nan, "nu_complement": math.nan, "beta": math.nan}
-            if s in complements:
-                nu_s, nu_sc = nu[s][i], nu[complements[s]][i]
+    def frames(S):  # Phi @ pair_stack(S) as a column selection
+        return traj.stms[:, :, [c for p in S for c in (2 * p - 2, 2 * p - 1)]]
+
+    volume = functools.cache(lambda S: volume_2k(frames(S)))  # one per distinct pair subset
+    cols = np.full((len(traj), len(splits), 4), math.nan)  # nu, nu_c, beta, Wirtinger margin
+    for j, (s, name) in enumerate(zip(splits, names)):
+        sc = tuple(p for p in range(1, n + 1) if p not in s)
+        if sc:  # beta per value: np.arcsin is not math.asin to the last bit
+            for i, (a, b) in enumerate(zip(volume(s).tolist(), volume(sc).tolist())):
                 try:
-                    beta = collapse_beta(nu_s, nu_sc, tol)
+                    beta = collapse_beta(a, b, tol)
                 except ValueError as exc:
-                    violations.append(f"{at}: split {name}: {exc}")
+                    found.append((i, f"split {name}: {exc}"))
                 else:
-                    row.update(nu=nu_s, nu_complement=nu_sc, beta=beta)
-                    if abs(nu_s * nu_sc * math.sin(beta) - 1.0) > tol:
-                        violations.append(f"{at}: split {name} collapse identity off")
-            row["wirtinger_margin"] = nu[s][i] - bound[s][i]
-            if bound[s][i] > nu[s][i] + tol:
-                violations.append(f"{at}: split {name} breaks the volume lower bound")
-            split_rows.append(row)
-        samples.append(
-            {
-                "t": t,
-                "column_sums": col_sums[i],
-                "row_sums": row_sums[i],
-                "splits": split_rows,
-                "sympl_residual": residual,
-            }
-        )
+                    cols[i, j, :3] = a, b, beta
+                    if abs(a * b * math.sin(beta) - 1.0) > tol:
+                        found.append((i, f"split {name} collapse identity off"))
+        bound = np.abs(poincare_cartan_sum(frames(s)))
+        cols[:, j, 3] = volume(s) - bound
+        for i in np.nonzero(bound > volume(s) + tol)[0]:
+            found.append((i, f"split {name} breaks the volume lower bound"))
+
+    found.sort(key=lambda f: f[0])
+    times, residuals = traj.times.tolist(), traj.residuals.tolist()
+    violations = [f"sample {i} (t={sio.fmt(times[i])}): {text}" for i, text in found]
+    keys = ("nu", "nu_complement", "beta", "wirtinger_margin")
+    samples = [
+        {"t": t, "column_sums": c.tolist(), "row_sums": r.tolist(), "sympl_residual": res,
+         "splits": [{"split": name, **dict(zip(keys, v))} for name, v in zip(names, row.tolist())]}
+        for t, c, r, res, row in zip(times, table.column_sums, table.row_sums, residuals, cols)
+    ]
 
     report = {
         "system": traj.system_name,
@@ -604,7 +593,7 @@ def _make_surface(spec):
         return lamina(pair, n, **kwargs)
     if "coeffs" not in spec:
         raise ConfigError("missing required field 'surface.coeffs' for linear_graph")
-    return linear_graph_surface(pair, n, np.asarray(spec["coeffs"], dtype=float), **kwargs)
+    return linear_graph_surface(pair, n, _float_array(spec["coeffs"], "surface.coeffs"), **kwargs)
 
 
 def cmd_surface(cfg, args, outdir: Path) -> int:

@@ -4,8 +4,8 @@ Text output uses 17 significant digits, enough for exact float round-trips;
 every CSV file is written from arrays by ``write_table`` and read back with
 Python's ``float()``.  Every JSON file is written by ``write_json``, which
 turns each array into Python values once and joins runs of finite floats in
-one step.  Loaded STMs get their symplecticity residual recomputed (files
-are not trusted on derived quantities).
+one step.  A loaded trajectory's residual is derived by Trajectory from its
+STMs (files are not trusted on derived quantities).
 """
 from __future__ import annotations
 
@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .phase import symplecticity_residual
-from .propagation import IntegratorStats, Trajectory
+from .propagation import IntegratorStats, Trajectory, _float_array
 
 __all__ = [
     "fmt",
@@ -177,11 +176,9 @@ def load_trajectory(path) -> Trajectory:
         obj = read_json(path)
         if not isinstance(obj, dict):
             raise ValueError(f"{path}: a trajectory JSON must be an object, got {type(obj).__name__}")
-        stms = np.asarray(obj["stms"], dtype=float)
-        drift = np.asarray(obj["energy_drift"], dtype=float)  # null reads as NaN
-        return Trajectory(
-            obj.get("system", "loaded"), obj["times"], obj["states"], stms,
-            symplecticity_residual(stms), drift, _loaded_stats(obj.get("stats")),
+        return Trajectory(  # a null energy_drift reads as NaN
+            obj.get("system", "loaded"), obj["times"], obj["states"], obj["stms"],
+            obj["energy_drift"], _loaded_stats(obj.get("stats")),
         )
 
     with open(path, newline="") as fh:
@@ -199,9 +196,7 @@ def load_trajectory(path) -> Trajectory:
     dim = 2 * n_pairs
     times, states, drift = data[:, 0], data[:, 1 : 1 + dim], data[:, -1]
     stms = data[:, 1 + dim : 1 + dim + dim * dim].reshape(-1, dim, dim)
-    return Trajectory(
-        "loaded", times, states, stms, symplecticity_residual(stms), drift, _loaded_stats()
-    )
+    return Trajectory("loaded", times, states, stms, drift, _loaded_stats())
 
 
 def save_matrix(M, path):
@@ -218,7 +213,7 @@ def load_matrix(path) -> np.ndarray:
     path = Path(path)
     if path.suffix.lower() == ".json":
         obj = read_json(path)
-        M = np.asarray(obj["matrix"] if isinstance(obj, dict) else obj, dtype=float)
+        M = _float_array(obj["matrix"] if isinstance(obj, dict) else obj, f"{path}: matrix")
     else:
         with open(path, newline="") as fh:
             M = _read_floats(csv.reader(fh))

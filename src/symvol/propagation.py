@@ -426,27 +426,32 @@ class Stm:
         return self.matrix.shape[0] // 2
 
 
+def _float_array(value, name) -> np.ndarray:
+    """value as a float array; a ValueError naming name if it holds anything but numbers."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be an array of numbers") from None
+
+
 class Trajectory:
     """Sampled (state, STM) history of one propagation run.
 
     times are the requested sample epochs (strictly monotone, starting at the
     initial epoch where the STM is the identity).  energy_drift is H(x(t)) -
-    H(x(0)) when the system supplies a Hamiltonian, NaN otherwise.
+    H(x(0)) when the system supplies a Hamiltonian, NaN otherwise.  residuals
+    holds each STM's symplecticity residual, derived once the fields are checked.
     """
 
-    def __init__(self, system_name, times, states, stms, residuals, energy_drift, stats):
-        self.system_name = system_name
-        self.times = np.asarray(times, dtype=float)
-        self.states = np.asarray(states, dtype=float)
-        self.stms = np.asarray(stms, dtype=float)
-        self.residuals = np.asarray(residuals, dtype=float)
-        self.energy_drift = np.asarray(energy_drift, dtype=float)
-        self.stats = stats
+    def __init__(self, system_name, times, states, stms, energy_drift, stats):
+        self.system_name, self.stats = system_name, stats
+        for name, value in [("times", times), ("states", states), ("stms", stms),
+                            ("energy_drift", energy_drift)]:
+            setattr(self, name, _float_array(value, f"trajectory {name}"))
         if self.states.ndim != 2 or not self.states.shape[1] or self.states.shape[1] % 2:
             raise ValueError(f"trajectory states must have shape (m, 2n), got {self.states.shape}")
         m, dim = self.states.shape
-        for name, shape in [("times", (m,)), ("stms", (m, dim, dim)), ("residuals", (m,)),
-                            ("energy_drift", (m,))]:
+        for name, shape in [("times", (m,)), ("stms", (m, dim, dim)), ("energy_drift", (m,))]:
             if getattr(self, name).shape != shape:
                 raise ValueError(f"trajectory {name} has shape {getattr(self, name).shape}, "
                                  f"expected {shape} for states of shape {(m, dim)}")
@@ -456,6 +461,7 @@ class Trajectory:
         d = np.diff(self.times)
         if not (np.all(d > 0) or np.all(d < 0)):
             raise ValueError("sample times must be strictly monotone")
+        self.residuals = symplecticity_residual(self.stms)
 
     def __len__(self):
         return self.times.size
@@ -554,25 +560,22 @@ def propagate(
             if gap > 8 * sys.dim * (fi.eps * np.abs(field).max() * np.abs(x).max() + fi.smallest_subnormal):
                 raise ValueError(f"{sys.name!r} is marked quadratic, but J grad H(x) - J H x = {gap:.3e}")
     states, stms, raw = _co_integrate(field, state0.coords, t_eval, settings)
-    m = t_eval.size
-    residuals = symplecticity_residual(stms)
 
     if sys.hamiltonian is not None:
         e0 = float(sys.hamiltonian(state0))
-        drift = np.array(
-            [float(sys.hamiltonian(PhaseState(states[i], t_eval[i]))) - e0 for i in range(m)]
-        )
+        drift = np.array([float(sys.hamiltonian(PhaseState(x, t))) - e0 for x, t in zip(states, t_eval)])
     else:
-        drift = np.full(m, np.nan)
+        drift = np.full(t_eval.size, np.nan)
 
-    exceed = int(np.sum(residuals > settings.residual_budget))
+    traj = Trajectory(sys.name, t_eval, states, stms, drift, None)
+    exceed = int(np.sum(traj.residuals > settings.residual_budget))
     if exceed:
         warnings.warn(
             f"{exceed} samples exceed the symplecticity drift budget "
-            f"{settings.residual_budget:.1e} (max {np.max(residuals):.3e})",
+            f"{settings.residual_budget:.1e} (max {traj.max_residual:.3e})",
             RuntimeWarning,
             stacklevel=2,
         )
-    stats = IntegratorStats(method=settings.method, rel_tol=settings.rel_tol,
-                            abs_tol=settings.abs_tol, budget_exceedances=exceed, **raw)
-    return Trajectory(sys.name, t_eval, states, stms, residuals, drift, stats)
+    traj.stats = IntegratorStats(method=settings.method, rel_tol=settings.rel_tol,
+                                 abs_tol=settings.abs_tol, budget_exceedances=exceed, **raw)
+    return traj

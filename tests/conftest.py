@@ -57,6 +57,15 @@ BAD_TRAJECTORY_FILES = [
     ("nan.csv", "t,x_1,x_2,phi_11,phi_12,phi_21,phi_22,sympl_residual,energy_drift\n"
      "0,0,0,1,0,0,1,0,0\n1,0,0,nan,0,0,1,0,0\n",
      "trajectory stms has non-finite entries (NaN or infinity)"),
+    # a field that is, or holds, an object (float() of a dict raised a TypeError)
+    ("times_object.json", {**HAND_TRAJECTORY, "times": {"a": 1}},
+     "trajectory times must be an array of numbers"),
+    ("states_object.json", {**HAND_TRAJECTORY, "states": [[0.0, {}], [0.0, 0.0]]},
+     "trajectory states must be an array of numbers"),
+    ("stms_object.json", {**HAND_TRAJECTORY, "stms": [[[1.0, 0.0], [{}, 1.0]]] * 2},
+     "trajectory stms must be an array of numbers"),
+    ("drift_object.json", {**HAND_TRAJECTORY, "energy_drift": {"a": 1}},
+     "trajectory energy_drift must be an array of numbers"),
 ]
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symvol import cli, heisenberg
@@ -32,7 +32,7 @@ from symvol.io import (
     write_json,
 )
 from symvol.propagation import IntegratorStats, Trajectory, solve_ode_rk45
-from symvol.phase import pair_stack, symplecticity_residual
+from symvol.phase import pair_stack
 from symvol.rolling_disc import disc_propagate, zero_projection_control
 from symvol.surfaces import (
     CausticError,
@@ -81,7 +81,6 @@ def fixture_trajectory(path, stms, times=None):
         times,
         np.zeros((m, dim)),
         stms,
-        np.array([symplecticity_residual(M) for M in stms]),
         np.full(m, math.nan),
         IntegratorStats("fixture", 0, 0, 0, math.nan, math.nan),
     )
@@ -223,6 +222,30 @@ class TestConfigErrors:
             "config error: stm has non-finite entries (NaN or infinity)\n"
         )
 
+    @pytest.mark.parametrize("command", ["skeleton", "surface"])
+    def test_stm_file_holding_an_object(self, tmp_path, capsys, command):
+        # float() of a dict raised a TypeError: exit 1 with a traceback
+        mpath = tmp_path / "phi.json"
+        mpath.write_text(json.dumps({"matrix": {"a": 1}}))
+        cfg = {"stm": str(mpath)}
+        if command == "surface":
+            cfg["surface"] = _LAMINA
+        assert run(tmp_path, command, cfg)[0] == 2
+        assert capsys.readouterr().err == f"config error: {mpath}: matrix must be an array of numbers\n"
+
+    @pytest.mark.parametrize("command", ["skeleton", "surface"])
+    def test_inline_stm_holding_an_object(self, tmp_path, capsys, command):
+        cfg = {"stm": {"matrix": [[{}, 0], [0, 1]]}}
+        if command == "surface":
+            cfg["surface"] = {"type": "lamina", "n_pairs": 1, "cells": [4, 4]}
+        assert run(tmp_path, command, cfg)[0] == 2
+        assert capsys.readouterr().err == "config error: stm.matrix must be an array of numbers\n"
+
+    def test_surface_coeffs_holding_an_object(self, tmp_path, capsys):
+        spec = {"type": "linear_graph", "pair": 1, "n_pairs": 2, "coeffs": [[{}, 0.0], [0.0, 0.0]]}
+        assert run(tmp_path, "surface", {"surface": spec})[0] == 2
+        assert capsys.readouterr().err == "config error: surface.coeffs must be an array of numbers\n"
+
     @pytest.mark.parametrize(
         "times, width, message",
         [
@@ -245,9 +268,11 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("name, content, message", BAD_TRAJECTORY_FILES,
                              ids=[case[0] for case in BAD_TRAJECTORY_FILES])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_trajectory_file(self, tmp_path, capsys, name, content, message):
         # these exited 1 with a traceback, or (NaN) 0 with no violation, or
-        # (infinity) 4; a NaN STM reported "max column-sum error nan"
+        # (infinity) 4; a NaN STM reported "max column-sum error nan", and an
+        # infinite one printed numpy's "invalid value encountered in matmul"
         path = write_bad_trajectory(tmp_path, name, content)
         assert run(tmp_path, "invariants", {"trajectory": str(path)})[0] == 2
         assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
@@ -498,8 +523,10 @@ def _reference_invariants(traj, tol):
     m=st.integers(1, 4),
     scale=st.floats(0.0, 3.0),
     factor=st.sampled_from([1.0, 0.5, 2.0]),
-    tol=st.sampled_from([1e-8, 1e-13]),
+    tol=st.sampled_from([1e-8, 1e-13, 1e-300]),  # 1e-300 flags roundoff as violations
 )
+# at a tolerance of 1e-300 this draw gives all six violation kinds
+@example(seed=0, n=2, m=4, scale=1e-8, factor=2.0, tol=1e-300)
 @settings(max_examples=40, deadline=None)
 def test_invariants_report_matches_per_sample_reference(seed, n, m, scale, factor, tol):
     rng = np.random.default_rng(seed)
@@ -711,6 +738,17 @@ class TestSurface:
         # once for the area and once for the signed shadow
         assert len(blocks) == 2 + 2 * 7
         assert sum(blocks) == 400 + 2 * 1600
+
+    def test_broken_shadow_sum_exits_4(self, tmp_path, capsys):
+        # the pair-1 plane doubled in both directions: its shadow density is 4, not 1
+        cfg = {"surface": _LAMINA, "stm": {"matrix": np.diag([2.0, 2.0, 1.0, 1.0]).tolist()}}
+        code, out = run(tmp_path, "surface", cfg)
+        assert code == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("VIOLATION")] == [
+            "VIOLATION: shadow-sum law broken by 3"
+        ]
+        assert json.loads((out / "surface.json").read_text())["violations"] == ["shadow-sum law broken by 3"]
 
     def test_linear_graph_needs_coeffs(self, tmp_path, capsys):
         code, _ = run(

@@ -191,7 +191,7 @@ class TestTrajectoryRoundTrip:
         dim = 128
         stms = np.eye(dim) + 1e-3 * rng.normal(size=(2, dim, dim))
         traj = Trajectory(
-            "wide", [0.0, 0.5], rng.normal(size=(2, dim)), stms, [0.0, 0.0], [math.nan, 1.5],
+            "wide", [0.0, 0.5], rng.normal(size=(2, dim)), stms, [math.nan, 1.5],
             IntegratorStats("rk4", 1, 0, 4, math.nan, math.nan),
         )
         path = tmp_path / "wide.csv"
@@ -242,6 +242,7 @@ class TestTrajectoryFilesAreChecked:
 
     @pytest.mark.parametrize("name, content, message", BAD_TRAJECTORY_FILES,
                              ids=[case[0] for case in BAD_TRAJECTORY_FILES])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no residual of unchecked STMs
     def test_rejected_with_the_field_named(self, tmp_path, name, content, message):
         path = write_bad_trajectory(tmp_path, name, content)
         with pytest.raises(ValueError) as exc:

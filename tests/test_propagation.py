@@ -300,6 +300,16 @@ class TestPropagate:
         with pytest.raises(ValueError, match="pairs"):
             propagate(sys, [0.0, 0.1], (0.0, 1.0))
 
+    def test_drift_budget_counts_the_samples_over_it(self):
+        sys = builtin_system("pendulum")
+        with pytest.warns(RuntimeWarning, match="drift budget") as record:
+            traj = propagate(sys, [0.0, 1.0], (0.0, 2.0), IntegratorSettings(residual_budget=1e-300), samples=5)
+        over = int(np.sum(traj.residuals > 1e-300))
+        assert 0 < over == traj.stats.budget_exceedances
+        assert str(record[0].message) == (
+            f"{over} samples exceed the symplecticity drift budget 1.0e-300 (max {traj.max_residual:.3e})"
+        )
+
     def test_stats_recorded(self):
         sys = builtin_system("pendulum")
         traj = propagate(sys, [0.0, 1.0], (0.0, 2.0), samples=5)
@@ -325,7 +335,6 @@ class TestTrajectoryValidation:
                 np.zeros((3, 2)),
                 np.tile(np.eye(2), (3, 1, 1)),
                 np.zeros(3),
-                np.zeros(3),
                 None,
             )
 
@@ -338,7 +347,8 @@ class TestTrajectoryValidation:
             # 2-wide states with 4 x 4 STMs used to be read as n = 1
             ({"states": np.zeros((2, 2))}, r"trajectory stms has shape \(2, 4, 4\), expected \(2, 2, 2\)"),
             ({"times": [0.0]}, r"trajectory times has shape \(1,\), expected \(2,\)"),
-            ({"residuals": np.zeros(3)}, r"trajectory residuals has shape \(3,\), expected \(2,\)"),
+            # a ragged field holds no array of numbers
+            ({"stms": [np.eye(4), np.eye(2)]}, r"trajectory stms must be an array of numbers"),
             ({"energy_drift": 0.0}, r"trajectory energy_drift has shape \(\), expected \(2,\)"),
             ({"states": np.zeros((2, 3))}, r"trajectory states must have shape \(m, 2n\), got \(2, 3\)"),
             ({"states": np.zeros(4)}, r"trajectory states must have shape \(m, 2n\), got \(4,\)"),
@@ -346,8 +356,7 @@ class TestTrajectoryValidation:
     )
     def test_rejects_mismatched_shapes(self, changes, message):
         fields = {"times": [0.0, 1.0], "states": np.zeros((2, 4)),
-                  "stms": np.tile(np.eye(4), (2, 1, 1)), "residuals": np.zeros(2),
-                  "energy_drift": np.zeros(2)}
+                  "stms": np.tile(np.eye(4), (2, 1, 1)), "energy_drift": np.zeros(2)}
         fields.update(changes)
         with pytest.raises(ValueError, match=message):
             Trajectory("x", stats=None, **fields)
@@ -356,7 +365,7 @@ class TestTrajectoryValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_nonfinite_entries(self, name, value):
         fields = {"times": np.array([0.0, 1.0]), "states": np.zeros((2, 2)),
-                  "stms": np.tile(np.eye(2), (2, 1, 1)), "residuals": np.zeros(2),
+                  "stms": np.tile(np.eye(2), (2, 1, 1)),
                   "energy_drift": np.full(2, math.nan)}  # no Hamiltonian: NaN drift is fine
         fields[name].flat[-1] = value
         with pytest.raises(ValueError, match=f"trajectory {name} has non-finite entries"):
