@@ -746,10 +746,11 @@ def _example_disc(cfg, t_final, times, snap_path: Path):
         ctrl = zero_projection_control(heis.u, heis.v)
     else:
         ctrl = open_loop_control(heis.u, heis.v, lambda t, w0=spec.get("w", 0.0): w0)
+    # the snapshot times are step ends; the samples grid is read from the dense output
     t_eval, at = _sample_nodes(np.linspace(0.0, t_final, cfg.get("samples", 101)), times)
     traj = disc_propagate(
         ctrl, cfg.get("initial_state", [0.0, 0.0, 0.0, 0.5 * math.pi, 0.0]), (0.0, t_final),
-        rel_tol=cfg.get("rel_tol", 1e-11), abs_tol=cfg.get("abs_tol", 1e-13), t_eval=t_eval,
+        rel_tol=cfg.get("rel_tol", 1e-11), abs_tol=cfg.get("abs_tol", 1e-13), t_eval=t_eval, stops=at,
     )
 
     # contact-point shadow of an initial (phi, theta) uncertainty patch

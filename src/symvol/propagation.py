@@ -7,8 +7,10 @@ from it: propagate (f = J grad H, Df = J Hess H, with J applied as a
 swap-and-negate of the interleaved pairs), and the Heisenberg and
 rolling-disc cross-check STMs.  Two integrators are provided: an embedded
 Dormand-Prince 5(4) pair with PI step-size control for accuracy, and a
-fixed-step classical RK4 for byte-identical reproducibility.  Symplecticity
-drift of the STM is measured at every sample and recorded, never corrected.
+fixed-step classical RK4 for byte-identical reproducibility.  rk45 steps end
+only on stop nodes; other samples come free from the pair's continuous
+extension.  Symplecticity drift of the STM is measured at every sample and
+recorded, never corrected.
 
 The steppers allocate their stage matrix and work vectors once per solve and
 update them in place (stage sums by np.dot(..., out=)), in the same
@@ -21,6 +23,7 @@ from the rounded products A_ij x_j as the builtin gradients do: no grad_H.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -62,6 +65,16 @@ _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _ERR = _B5 - _B4
+# continuous extension (Shampine 1986; Hairer-Norsett-Wanner II.6): y(t + theta h) weights _P @ theta^(1..4)
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 # PI controller exponents (Lund stabilisation), clip limits, safety factor
 _PI_ALPHA = 0.7 / 5.0
@@ -128,17 +141,25 @@ def solve_ode_rk45(
     abs_tol: float = 1e-12,
     max_step: float = math.inf,
     max_steps: int = 10_000_000,
+    stops: Optional[Sequence[int]] = None,
 ):
-    """Integrate y' = f(t, y), sampling exactly at the t_eval nodes.
+    """Integrate y' = f(t, y), sampling at the t_eval nodes.
 
     t_eval must be strictly monotone starting at t0; integration direction
-    follows the ordering (backward runs are allowed).  Returns (Y, stats)
-    where Y[i] is the solution at t_eval[i] and stats counts steps,
-    rejections and RHS evaluations.  The y handed to f is a work buffer the
-    solver overwrites later, so f must not keep a reference to it.
+    follows the ordering (backward runs are allowed).  stops lists the
+    indices into t_eval that a step must end on exactly; the last node is
+    always one, and None makes every node one.  Each other node is filled
+    from the dense output of the accepted step that passes it, at no RHS
+    call.  Returns (Y, stats) where Y[i] is the solution at t_eval[i] and
+    stats counts steps, rejections and RHS evaluations.  The y handed to f is
+    a work buffer the solver overwrites later, so f must not keep a
+    reference to it.
     """
     y0 = np.asarray(y0, dtype=float)
     nodes = _nodes(t0, t_eval)
+    stops = range(1, len(nodes)) if stops is None else sorted({*map(int, stops), len(nodes) - 1} - {0})
+    if not 0 < stops[0] <= stops[-1] < len(nodes):
+        raise ValueError("stops must be indices into t_eval")
     direction = 1.0 if nodes[1] > nodes[0] else -1.0
     span = abs(nodes[-1] - t0)
 
@@ -164,13 +185,15 @@ def solve_ode_rk45(
     err_prev = 1e-4
     n_steps = 0
     n_rejected = 0
+    n_stopped = 0
 
     while next_eval < len(nodes):
         if n_steps + n_rejected >= max_steps:
             raise IntegrationError(f"step budget {max_steps} exhausted at t = {t}")
-        # clamp the attempted step to land exactly on the next sample node
+        # clamp the attempted step to land exactly on the next stop node
         h_attempt = min(h, max_step)
-        target = nodes[next_eval]
+        stop = stops[n_stopped]
+        target = nodes[stop]
         lands = abs(target - t) <= h_attempt * (1 + 1e-12)
         if lands:
             h_attempt = abs(target - t)
@@ -206,12 +229,19 @@ def solve_ode_rk45(
                 err = math.inf
 
         if err <= 1.0:
-            if lands:
-                t = target
-                out[next_eval] = y_new
+            t_new = target if lands else t + hs
+            # y + hs * (_P theta-powers) k at each node the step passes short of the stop
+            while next_eval < stop and direction * (nodes[next_eval] - t_new) < 0:
+                theta, row = (nodes[next_eval] - t) / hs, out[next_eval]
+                np.dot(np.dot(_P, (theta, theta**2, theta**3, theta**4)), k, out=row)
+                row *= hs
+                row += y
                 next_eval += 1
-            else:
-                t += hs
+            if lands:
+                out[stop] = y_new
+                next_eval = stop + 1
+                n_stopped += 1
+            t = t_new
             y, y_new = y_new, y
             k[0] = k[6]
             n_steps += 1
@@ -367,11 +397,12 @@ def _augmented_rhs(field, d: int):
     return rhs
 
 
-def _co_integrate(field, x0, t_eval, settings: IntegratorSettings):
+def _co_integrate(field, x0, t_eval, settings: IntegratorSettings, stops=None):
     """Integrate x' = f(t, x) and its STM, Phi' = Df(t, x) Phi, from Phi = I.
 
     field is a callable (t, x) -> (f, Df) or, for a linear field x' = A x,
-    the constant (d, d) array A.
+    the constant (d, d) array A.  stops is handed to rk45 (see
+    solve_ode_rk45); rk4 lands on every node.
 
     Returns the states (m, d) and STMs (m, d, d) at the t_eval nodes, and
     the raw integrator counters.
@@ -384,7 +415,7 @@ def _co_integrate(field, x0, t_eval, settings: IntegratorSettings):
         Y, raw = solve_ode_rk45(
             rhs, t_eval[0], y0, t_eval,
             rel_tol=settings.rel_tol, abs_tol=settings.abs_tol,
-            max_step=settings.max_step, max_steps=settings.max_steps,
+            max_step=settings.max_step, max_steps=settings.max_steps, stops=stops,
         )
     else:
         Y, raw = solve_ode_rk4(
@@ -427,8 +458,14 @@ class Stm:
 
 
 def _float_array(value, name) -> np.ndarray:
-    """value as a float array; a ValueError naming name if it holds anything but numbers."""
+    """value as a float array; a ValueError naming name if it holds anything but
+    numbers and None (read as NaN).  Strings and booleans, which a float cast
+    would parse, are refused as the config schema refuses them."""
     try:
+        if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
+            kinds = set(map(type, np.asarray(value, dtype=object).ravel().tolist()))
+            if any(k is bool or not (k is type(None) or issubclass(k, numbers.Real)) for k in kinds):
+                raise ValueError
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be an array of numbers") from None
@@ -559,7 +596,8 @@ def propagate(
             gap = np.max(np.abs(f - (field * x).sum(1)))
             if gap > 8 * sys.dim * (fi.eps * np.abs(field).max() * np.abs(x).max() + fi.smallest_subnormal):
                 raise ValueError(f"{sys.name!r} is marked quadratic, but J grad H(x) - J H x = {gap:.3e}")
-    states, stms, raw = _co_integrate(field, state0.coords, t_eval, settings)
+    # rk45 lands on t1 alone and reads every other sample from its dense output
+    states, stms, raw = _co_integrate(field, state0.coords, t_eval, settings, stops=())
 
     if sys.hamiltonian is not None:
         e0 = float(sys.hamiltonian(state0))

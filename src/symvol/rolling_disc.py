@@ -171,10 +171,13 @@ def disc_propagate(
     abs_tol: float = 1e-13,
     samples: int = 101,
     t_eval: Optional[Sequence[float]] = None,
+    stops: Optional[Sequence[int]] = None,
 ) -> DiscTrajectory:
     """Integrate the five state equations plus the six STM quadratures.
 
     ctrl is a callable (t, q) -> (u, v, w); q0 a DiscState or length-5 array.
+    stops are the indices into t_eval the solver lands on exactly (all of
+    them by default); the other samples come from its dense output.
     The theta-singularity guard aborts with a diagnostic if the trajectory
     approaches {0, pi}.
     """
@@ -198,7 +201,8 @@ def disc_propagate(
         return np.array([*qdot, m02, m12, m02 * E + m03, m12 * E + m13, m23, m43])
 
     y0 = np.concatenate([q0, np.zeros(6)])
-    Y, _ = solve_ode_rk45(rhs, t0, y0, np.asarray(t_eval, dtype=float), rel_tol=rel_tol, abs_tol=abs_tol)
+    Y, _ = solve_ode_rk45(rhs, t0, y0, np.asarray(t_eval, dtype=float), rel_tol=rel_tol, abs_tol=abs_tol,
+                          stops=stops)
     return DiscTrajectory(t_eval, Y[:, :5], Y[:, 5:])
 
 

@@ -66,6 +66,15 @@ BAD_TRAJECTORY_FILES = [
      "trajectory stms must be an array of numbers"),
     ("drift_object.json", {**HAND_TRAJECTORY, "energy_drift": {"a": 1}},
      "trajectory energy_drift must be an array of numbers"),
+    # strings and booleans, which a float cast parses (as 0, 1 and 1), are not numbers
+    ("times_strings.json", {**HAND_TRAJECTORY, "times": ["0", "1e0"]},
+     "trajectory times must be an array of numbers"),
+    ("states_boolean.json", {**HAND_TRAJECTORY, "states": [[True, 0], [0, 0]]},
+     "trajectory states must be an array of numbers"),
+    ("stms_string.json", {**HAND_TRAJECTORY, "stms": [[[1.0, 0.0], ["0", 1.0]]] * 2},
+     "trajectory stms must be an array of numbers"),
+    ("drift_boolean.json", {**HAND_TRAJECTORY, "energy_drift": [None, False]},
+     "trajectory energy_drift must be an array of numbers"),
 ]
 
 

@@ -241,8 +241,32 @@ class TestConfigErrors:
         assert run(tmp_path, command, cfg)[0] == 2
         assert capsys.readouterr().err == "config error: stm.matrix must be an array of numbers\n"
 
+    @pytest.mark.parametrize("command", ["skeleton", "surface"])
+    @pytest.mark.parametrize("matrix", [[["2", "0"], ["0", "0.5"]], [[True, 0], [0, 1]]],
+                             ids=["strings", "boolean"])
+    def test_inline_stm_holding_a_string_or_boolean(self, tmp_path, capsys, command, matrix):
+        # a float cast parsed these: the matrix of strings had lambda = 4
+        cfg = {"stm": {"matrix": matrix}}
+        if command == "surface":
+            cfg["surface"] = {"type": "lamina", "n_pairs": 1, "cells": [4, 4]}
+        assert run(tmp_path, command, cfg)[0] == 2
+        assert capsys.readouterr().err == "config error: stm.matrix must be an array of numbers\n"
+
+    @pytest.mark.parametrize("bad", ["2", False], ids=["string", "boolean"])
+    def test_stm_file_holding_a_string_or_boolean(self, tmp_path, capsys, bad):
+        mpath = tmp_path / "phi.json"
+        mpath.write_text(json.dumps({"matrix": [[bad, 0], [0, 0.5]]}))
+        assert run(tmp_path, "skeleton", {"stm": str(mpath)})[0] == 2
+        assert capsys.readouterr().err == f"config error: {mpath}: matrix must be an array of numbers\n"
+
     def test_surface_coeffs_holding_an_object(self, tmp_path, capsys):
         spec = {"type": "linear_graph", "pair": 1, "n_pairs": 2, "coeffs": [[{}, 0.0], [0.0, 0.0]]}
+        assert run(tmp_path, "surface", {"surface": spec})[0] == 2
+        assert capsys.readouterr().err == "config error: surface.coeffs must be an array of numbers\n"
+
+    @pytest.mark.parametrize("bad", ["0.1", True], ids=["string", "boolean"])
+    def test_surface_coeffs_holding_a_string_or_boolean(self, tmp_path, capsys, bad):
+        spec = {"type": "linear_graph", "pair": 1, "n_pairs": 2, "coeffs": [[bad, 0.0], [0.0, 0.0]]}
         assert run(tmp_path, "surface", {"surface": spec})[0] == 2
         assert capsys.readouterr().err == "config error: surface.coeffs must be an array of numbers\n"
 
@@ -978,9 +1002,10 @@ class TestExample:
         code, out = run(tmp_path, "example", {"example": "disc", "samples": 11, **common})
         assert code == 0
         t_eval = np.unique(np.concatenate([np.linspace(0.0, 1.0, 11), times]))
+        # the snapshot times are the solver's stops, as the command makes them
         traj = disc_propagate(
             zero_projection_control(ctrl.u, ctrl.v), [0.0, 0.0, 0.0, 0.5 * math.pi, 0.0],
-            (0.0, 1.0), t_eval=t_eval,
+            (0.0, 1.0), t_eval=t_eval, stops=np.searchsorted(t_eval, times),
         )
         lines = ["t,u,v,dx,dy"]
         for t in times:

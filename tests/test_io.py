@@ -249,6 +249,11 @@ class TestTrajectoryFilesAreChecked:
             load_trajectory(path)
         assert str(exc.value) == message.format(path=path)
 
+    def test_null_energy_drift_reads_as_nan(self, tmp_path):
+        path = write_bad_trajectory(tmp_path, "ok.json", {**HAND_TRAJECTORY, "energy_drift": [None, 0.5]})
+        drift = load_trajectory(path).energy_drift
+        assert math.isnan(drift[0]) and drift[1] == 0.5
+
     def test_null_tolerances_and_missing_counters_load(self, tmp_path):
         path = write_bad_trajectory(tmp_path, "ok.json", {**HAND_TRAJECTORY, "stats": {"rel_tol": None}})
         stats = load_trajectory(path).stats

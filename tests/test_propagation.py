@@ -21,14 +21,17 @@ from symvol import (
     variational_rhs,
     vector_field,
 )
+from symvol.heisenberg import fourier_control
 from symvol.propagation import (
     _augmented_rhs,
+    _co_integrate,
     _hamiltonian_field,
     _initial_step,
     _sample_nodes,
     solve_ode_rk4,
     solve_ode_rk45,
 )
+from symvol.rolling_disc import disc_propagate, zero_projection_control
 from symvol.systems import HamiltonianSystem
 from conftest import PENDULUM_X10
 
@@ -649,6 +652,192 @@ class TestLeanSteppersMatchReference:
         new = _outcome(solve_ode_rk4, _Field(seed, m, linear, nan_at), t0, y0, t_eval, n_steps=n_steps)
         ref = _outcome(ref_solve_ode_rk4, _Field(seed, m, linear, nan_at), t0, y0, t_eval, n_steps=n_steps)
         assert new == ref
+
+
+# Shampine's 4th-order continuous extension of the DP5(4) pair (Hairer-Norsett-
+# Wanner, Solving ODEs I, II.6): y(t + theta h) = y + h sum_i b_i(theta) k_i,
+# with b(theta) = P (theta, theta^2, theta^3, theta^4)
+_REF_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+
+
+def ref_solve_ode_rk45_dense(f, t0, y0, t_eval, stops, rel_tol=1e-10, abs_tol=1e-12,
+                             max_step=math.inf, max_steps=10_000_000):
+    """ref_solve_ode_rk45 with steps landing only on the stop nodes (and the
+    last node); every other node is the dense output of the step passing it."""
+    y0 = np.asarray(y0, dtype=float)
+    t_eval = [float(t) for t in t_eval]
+    if len(t_eval) < 2 or t_eval[0] != t0:
+        raise ValueError("t_eval must start at t0 and contain at least two nodes")
+    d = np.diff(t_eval)
+    if not (np.all(d > 0) or np.all(d < 0)):
+        raise ValueError("t_eval must be strictly monotone")
+    direction = 1.0 if d[0] > 0 else -1.0
+    t_end = t_eval[-1]
+    stop_nodes = sorted({*stops, len(t_eval) - 1} - {0})
+
+    out = np.empty((len(t_eval), y0.size))
+    out[0] = y0
+    next_eval = 1
+
+    t = float(t0)
+    y = y0.copy()
+    k1 = np.asarray(f(t, y), dtype=float)
+    if not np.isfinite(k1).all():
+        raise IntegrationError(f"derivative not finite at t = {t}")
+    n_rhs = 2
+    h = min(_initial_step(f, t, y, k1, direction, rel_tol, abs_tol, abs(t_end - t0)), max_step)
+    err_prev = 1e-4
+    n_steps = 0
+    n_rejected = 0
+
+    while next_eval < len(t_eval):
+        if n_steps + n_rejected >= max_steps:
+            raise IntegrationError(f"step budget {max_steps} exhausted at t = {t}")
+        h_attempt = min(h, max_step, abs(t_end - t))
+        stop = stop_nodes[0]
+        target = t_eval[stop]
+        lands = abs(target - t) <= h_attempt * (1 + 1e-12)
+        if lands:
+            h_attempt = abs(target - t)
+        if h_attempt < _REF_MIN_STEP * max(abs(t), 1.0):
+            raise IntegrationError(f"step size underflow at t = {t}")
+
+        hs = direction * h_attempt
+        k = np.empty((7, y.size))
+        k[0] = k1
+        ok = True
+        for i in range(1, 7):
+            ki = np.asarray(f(t + _REF_C[i] * hs, y + hs * (_REF_A[i] @ k[:i])), dtype=float)
+            n_rhs += 1
+            if not np.isfinite(ki).all():
+                ok = False
+                break
+            k[i] = ki
+        if ok:
+            y_new = y + hs * (_REF_B5 @ k)
+            finite = np.isfinite(y_new).all()
+            err = _ref_error_norm(hs * (_REF_ERR @ k), y, y_new, rel_tol, abs_tol) if finite else math.inf
+        else:
+            err = math.inf
+
+        if err <= 1.0:
+            t_new = target if lands else t + hs
+            while next_eval < stop and direction * (t_eval[next_eval] - t_new) < 0:
+                theta = (t_eval[next_eval] - t) / hs
+                b = _REF_P @ np.array([theta, theta**2, theta**3, theta**4])
+                out[next_eval] = y + hs * (b @ k)
+                next_eval += 1
+            if lands:
+                out[stop] = y_new
+                next_eval = stop + 1
+                stop_nodes.pop(0)
+            t, y, k1 = t_new, y_new, k[6]
+            n_steps += 1
+            if err == 0.0:
+                factor = 10.0
+            else:
+                factor = min(10.0, max(0.2, 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)))
+            h = h_attempt * factor
+            err_prev = max(err, 1e-10)
+        else:
+            n_rejected += 1
+            if math.isinf(err):
+                h = h_attempt * 0.2
+            else:
+                h = h_attempt * min(1.0, max(0.2, 0.9 * err ** (-0.2)))
+
+    return out, {"steps": n_steps, "rejected": n_rejected, "rhs_evals": n_rhs}
+
+
+def _landed_and_dense(sys, x0, t_span, samples, rel_tol):
+    """(states | STMs) of one propagate, each sample a row: landed on every
+    node, and as propagate samples it, from the dense output."""
+    t_eval = np.linspace(*t_span, samples)
+    field = _hamiltonian_field(sys, PhaseState(np.asarray(x0, dtype=float)))
+    settings = IntegratorSettings(rel_tol=rel_tol)
+    states, stms, _ = _co_integrate(field, x0, t_eval, settings)
+    traj = propagate(sys, x0, t_span, settings, samples=samples)
+    return (np.hstack([states, stms.reshape(samples, -1)]),
+            np.hstack([traj.states, traj.stms.reshape(samples, -1)]))
+
+
+class TestDenseOutput:
+    """rk45 lands on its stop nodes and fills every other sample from the
+    continuous extension of the step passing it."""
+
+    @given(
+        problem=_problems(),
+        picks=st.lists(st.integers(0, 6), max_size=7),
+        rel_tol=st.sampled_from([1e-6, 1e-9]),
+        max_step=st.sampled_from([math.inf, 0.3, 0.05]),
+        nan_at=st.one_of(st.none(), st.integers(2, 80)),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_allocating_reference(self, problem, picks, rel_tol, max_step, nan_at):
+        seed, m, linear, y0, t0, t_eval = problem
+        stops = [i for i in picks if i < t_eval.size]
+        kwargs = dict(rel_tol=rel_tol, abs_tol=1e-3 * rel_tol, max_step=max_step, max_steps=20_000)
+        new = _outcome(solve_ode_rk45, _Field(seed, m, linear, nan_at), t0, y0, t_eval, stops=stops, **kwargs)
+        ref = _outcome(ref_solve_ode_rk45_dense, _Field(seed, m, linear, nan_at), t0, y0, t_eval, stops,
+                       **kwargs)
+        assert new == ref
+
+    @given(problem=_problems())
+    @settings(max_examples=40, deadline=None)
+    def test_every_node_a_stop_is_the_default(self, problem):
+        seed, m, linear, y0, t0, t_eval = problem
+        default = _outcome(solve_ode_rk45, _Field(seed, m, linear), t0, y0, t_eval)
+        every = _outcome(solve_ode_rk45, _Field(seed, m, linear), t0, y0, t_eval, stops=range(t_eval.size))
+        assert default == every
+
+    @pytest.mark.parametrize(
+        "name, x0, t_span, samples",
+        [("coupled_oscillators", [0.3, 0.1, -0.2, 0.4], (0.0, 50.0), 500),
+         ("harmonic_oscillator", [1.0, 0.5], (0.0, -20.0), 300)],
+        ids=["coupled forward", "harmonic backward"],
+    )
+    def test_samples_stay_near_the_node_landing_run(self, name, x0, t_span, samples):
+        rel_tol = 1e-10
+        landed, dense = _landed_and_dense(builtin_system(name), x0, t_span, samples, rel_tol)
+        assert np.array_equal(landed[0], dense[0])
+        assert np.all(np.abs(dense - landed) <= 10 * rel_tol * np.maximum(1.0, np.abs(landed)))
+
+    def test_propagate_lands_on_t1_alone(self):
+        sys = builtin_system("coupled_oscillators")
+        x0 = [0.3, 0.1, -0.2, 0.4]
+        sparse = propagate(sys, x0, (0.0, 50.0), samples=2)
+        dense = propagate(sys, x0, (0.0, 50.0), samples=500)
+        assert dense.stats.steps == sparse.stats.steps
+        assert dense.states[-1].tobytes() == sparse.states[-1].tobytes()
+
+    def test_bad_stops(self):
+        with pytest.raises(ValueError, match="stops must be indices into t_eval"):
+            solve_ode_rk45(lambda t, y: -y, 0.0, np.array([1.0]), np.array([0.0, 1.0]), stops=[2])
+
+    def test_dense_disc_makes_fewer_rhs_calls_than_samples(self):
+        # the case-study disc: a compliant Fourier control over t 0-2 on 2001
+        # samples; landing on every node made about 12 600 RHS calls
+        heis = fourier_control(1.0, [0.1, -0.15], [0.05, 0.2], 0.01, [0.03, -0.02], [0.0, 0.04])
+        calls = [0]
+
+        def ctrl(t, q):
+            calls[0] += 1
+            return base(t, q)
+
+        base = zero_projection_control(heis.u, heis.v)
+        t_eval, at = _sample_nodes(np.linspace(0.0, 2.0, 2001), [0.0, 1.0, 2.0])
+        traj = disc_propagate(ctrl, [0.0, 0.0, 0.0, 1.2, 0.0], (0.0, 2.0), t_eval=t_eval, stops=at)
+        assert calls[0] < 2000
+        A, B, C, D = traj.integrals[:, :4].T
+        assert np.max(np.abs(A * D - B * C)) <= 1e-10
 
 
 def _ref_disc_nodes(grid, times):
