@@ -10,8 +10,9 @@ skeleton    conjugate eigenpair analysis of one STM
 surface     area, shadow and density-map report for a parameterized surface
 example     the two case studies (heisenberg | disc) with configured controls
 
-All commands read a JSON config (schema-validated, unknown keys rejected) and
-write deterministic artifacts: JSON reports with sorted keys, CSV series with
+All commands read a JSON config (schema-validated; unknown keys rejected, and
+so are keys the chosen example or surface type does not read) and write
+deterministic artifacts: JSON reports with sorted keys, CSV series with
 17-significant-digit floats, no timestamps.
 
 Exit codes: 0 success, 2 config error, 3 integration failure, 4 invariant
@@ -21,6 +22,7 @@ violation (including degenerate density maps), 5 input not symplectic.
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
 import inspect
 import json
@@ -84,195 +86,170 @@ class ConfigError(ValueError):
 
 _NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_POSITIVE_INT = {"type": "integer", "minimum": 1}
 _SPAN = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
+_TOLERANCE = {**_POSITIVE, "default": 1e-8}
 
-_INTEGRATOR = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "method": {"enum": ["rk45", "rk4"]},
-        "rel_tol": _POSITIVE,
-        "abs_tol": _POSITIVE,
-        "max_step": _POSITIVE,
-        "n_steps": {"type": "integer", "minimum": 1},
-        "max_steps": {"type": "integer", "minimum": 1},
-        "residual_budget": _POSITIVE,
-    },
-}
+
+def _object(required=(), **properties) -> dict:
+    """The schema of an object with the given properties and no others."""
+    return {"type": "object", "additionalProperties": False, "required": list(required),
+            "properties": properties}
+
+
+def _variants(field, **branches) -> dict:
+    """The schema of an object that conforms to the branch its field names."""
+    return {"type": "object", "required": [field], "properties": {field: {"enum": list(branches)}},
+            "oneOf": [_object([field, *b["required"]], **{field: {"enum": [name]}}, **b["properties"])
+                      for name, b in branches.items()]}
+
+
+_INTEGRATOR = _object(  # defaults in IntegratorSettings
+    method={"enum": ["rk45", "rk4"]},
+    rel_tol=_POSITIVE,
+    abs_tol=_POSITIVE,
+    max_step=_POSITIVE,
+    n_steps=_POSITIVE_INT,
+    max_steps=_POSITIVE_INT,
+    residual_budget=_POSITIVE,
+)
 
 _SYSTEM = {
     "oneOf": [
         {"type": "string"},
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name"],
-            "properties": {"name": {"type": "string"}, "params": {"type": "object"}},
-        },
+        _object(["name"], name={"type": "string"}, params={"type": "object", "default": {}}),
     ]
 }
 
 _STM_SOURCE = {
     "oneOf": [
         {"type": "string"},
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["matrix"],
-            "properties": {"matrix": {"type": "array"}},
-        },
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["trajectory"],
-            "properties": {
-                "trajectory": {"type": "string"},
-                "sample": {"type": "integer"},
-            },
-        },
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["random_symplectic"],
-            "properties": {
-                "random_symplectic": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["n_pairs"],
-                    "properties": {
-                        "n_pairs": {"type": "integer", "minimum": 1},
-                        "scale": _POSITIVE,
-                    },
-                }
-            },
-        },
+        _object(["matrix"], matrix={"type": "array"}),
+        _object(
+            ["trajectory"],
+            trajectory={"type": "string"},
+            sample={"type": "integer", "default": -1},
+        ),
+        _object(
+            ["random_symplectic"],
+            random_symplectic=_object(
+                ["n_pairs"],
+                n_pairs=_POSITIVE_INT,
+                scale={**_POSITIVE, "default": 1.0},
+            ),
+        ),
     ]
 }
 
-_CONTROL = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["family"],
-    "properties": {
-        "family": {"enum": ["zero", "constant", "bloch", "fourier", "tabulated"]},
-        "u": {"type": "number"},
-        "v": {"type": "number"},
-        "u0": {"type": "number"},
-        "u_cos": _NUMBER_ARRAY,
-        "u_sin": _NUMBER_ARRAY,
-        "v0": {"type": "number"},
-        "v_cos": _NUMBER_ARRAY,
-        "v_sin": _NUMBER_ARRAY,
-        "times": _NUMBER_ARRAY,
-        "u_values": _NUMBER_ARRAY,
-        "v_values": _NUMBER_ARRAY,
-        # disc-only steering of the third input
-        "w": {"type": "number"},
-        "compliant": {"type": "boolean"},
-    },
-}
+# what invariants reads to propagate first
+_RUN = dict(
+    system=_SYSTEM,
+    initial_state={**_NUMBER_ARRAY, "minItems": 2},
+    t_span=_SPAN,
+    samples={"type": "integer", "minimum": 2, "default": 100},
+    integrator={**_INTEGRATOR, "default": {}},
+)
+
+_COEFF = {"type": "number", "default": 0.0}
+_COEFFS = {**_NUMBER_ARRAY, "default": []}
+_CONTROL = dict(
+    family={"enum": ["zero", "constant", "bloch", "fourier", "tabulated"]},
+    u=_COEFF,
+    v=_COEFF,
+    u0=_COEFF,
+    u_cos=_COEFFS,
+    u_sin=_COEFFS,
+    v0=_COEFF,
+    v_cos=_COEFFS,
+    v_sin=_COEFFS,
+    times=_NUMBER_ARRAY,
+    u_values=_NUMBER_ARRAY,
+    v_values=_NUMBER_ARRAY,
+)
+
+# what both examples read alike
+_EXAMPLE = dict(
+    t_final={**_POSITIVE, "default": 1.0},
+    snapshot_times={**_NUMBER_ARRAY, "minItems": 1},
+    snapshot_cells={"type": "array", "items": _POSITIVE_INT, "minItems": 2, "maxItems": 2, "default": [8, 8]},
+)
+_SNAPSHOT_BOUNDS = {"type": "array", "items": _SPAN, "minItems": 2, "maxItems": 2}
+
+# a flat patch of either surface type
+_PATCH = dict(
+    pair={**_POSITIVE_INT, "default": 1},
+    n_pairs=_POSITIVE_INT,
+    bounds={"type": "array", "items": _SPAN},
+    cells={"type": "array", "items": _POSITIVE_INT},
+    anchor=_NUMBER_ARRAY,
+)
 
 _SCHEMAS = {
-    "propagate": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["system", "initial_state", "t_span"],
-        "properties": {
-            "system": _SYSTEM,
-            "initial_state": {**_NUMBER_ARRAY, "minItems": 2},
-            "t_span": _SPAN,
-            "samples": {"type": "integer", "minimum": 2},
-            "t_eval": {**_NUMBER_ARRAY, "minItems": 2},
-            "integrator": _INTEGRATOR,
-            "output": {"type": "string"},
-        },
-    },
-    "invariants": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            "trajectory": {"type": "string"},
-            "system": _SYSTEM,
-            "initial_state": {**_NUMBER_ARRAY, "minItems": 2},
-            "t_span": _SPAN,
-            "samples": {"type": "integer", "minimum": 2},
-            "integrator": _INTEGRATOR,
-            "splits": {
-                "type": "array",
-                "items": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                    "minItems": 1,
-                },
+    "propagate": _object(
+        ["system", "initial_state", "t_span"],
+        **_RUN,
+        t_eval={**_NUMBER_ARRAY, "minItems": 2},
+        output={"type": "string", "default": "trajectory"},
+    ),
+    "invariants": _object(
+        trajectory={"type": "string"},
+        **_RUN,
+        # [] stands for every proper split
+        splits={"type": "array", "items": {"type": "array", "items": _POSITIVE_INT, "minItems": 1},
+                "default": []},
+        tolerance=_TOLERANCE,
+        output={"type": "string", "default": "invariants"},
+    ),
+    "skeleton": _object(
+        ["stm"],
+        stm=_STM_SOURCE,
+        tolerance=_TOLERANCE,
+        output={"type": "string", "default": "skeleton"},
+    ),
+    "surface": _object(
+        ["surface"],
+        surface=_variants(
+            "type",
+            lamina=_object(["n_pairs"], **_PATCH),
+            linear_graph=_object(["n_pairs", "coeffs"], **_PATCH, coeffs={"type": "array"}),
+        ),
+        stm=_STM_SOURCE,
+        target_pair=_POSITIVE_INT,  # defaults to surface.pair
+        refine={"type": "integer", "minimum": 2},
+        caustic_tol={**_POSITIVE, "default": 1e-12},
+        tolerance=_TOLERANCE,
+        output={"type": "string", "default": "surface"},
+    ),
+    "example": _variants(
+        "example",
+        heisenberg=_object(
+            control={**_object(["family"], **_CONTROL), "default": {"family": "zero"}},
+            **_EXAMPLE,
+            snapshot_bounds={**_SNAPSHOT_BOUNDS, "default": [[-0.5, 0.5], [-0.5, 0.5]]},
+            rel_tol={**_POSITIVE, "default": 1e-12},
+            quadrature_nodes={"type": "integer", "minimum": 2, "default": 16},
+            output={"type": "string", "default": "heisenberg"},
+        ),
+        disc=_object(
+            control={
+                **_object(
+                    ["family"],
+                    **_CONTROL,
+                    w=_COEFF,  # the third input, unless compliant
+                    compliant={"type": "boolean", "default": False},
+                ),
+                "default": {"family": "zero"},
             },
-            "tolerance": _POSITIVE,
-            "output": {"type": "string"},
-        },
-    },
-    "skeleton": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["stm"],
-        "properties": {
-            "stm": _STM_SOURCE,
-            "tolerance": _POSITIVE,
-            "output": {"type": "string"},
-        },
-    },
-    "surface": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["surface"],
-        "properties": {
-            "surface": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["type", "n_pairs"],
-                "properties": {
-                    "type": {"enum": ["lamina", "linear_graph"]},
-                    "pair": {"type": "integer", "minimum": 1},
-                    "n_pairs": {"type": "integer", "minimum": 1},
-                    "bounds": {"type": "array", "items": _SPAN},
-                    "cells": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 1},
-                    },
-                    "coeffs": {"type": "array"},
-                    "anchor": _NUMBER_ARRAY,
-                },
-            },
-            "stm": _STM_SOURCE,
-            "target_pair": {"type": "integer", "minimum": 1},
-            "refine": {"type": "integer", "minimum": 2},
-            "caustic_tol": _POSITIVE,
-            "tolerance": _POSITIVE,
-            "output": {"type": "string"},
-        },
-    },
-    "example": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["example"],
-        "properties": {
-            "example": {"enum": ["heisenberg", "disc"]},
-            "control": _CONTROL,
-            "t_final": _POSITIVE,
-            "initial_state": {**_NUMBER_ARRAY, "minItems": 5, "maxItems": 5},
-            "samples": {"type": "integer", "minimum": 2},
-            "rel_tol": _POSITIVE,
-            "abs_tol": _POSITIVE,
-            "quadrature_nodes": {"type": "integer", "minimum": 2},
-            "snapshot_times": {**_NUMBER_ARRAY, "minItems": 1},
-            "snapshot_bounds": {"type": "array", "items": _SPAN, "minItems": 2, "maxItems": 2},
-            "snapshot_cells": {
-                "type": "array",
-                "items": {"type": "integer", "minimum": 1},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-            "output": {"type": "string"},
-        },
-    },
+            **_EXAMPLE,
+            snapshot_bounds={**_SNAPSHOT_BOUNDS, "default": [[-0.1, 0.1], [-0.1, 0.1]]},
+            initial_state={**_NUMBER_ARRAY, "minItems": 5, "maxItems": 5,
+                           "default": [0.0, 0.0, 0.0, 0.5 * math.pi, 0.0]},
+            samples={"type": "integer", "minimum": 2, "default": 101},
+            rel_tol={**_POSITIVE, "default": 1e-11},
+            abs_tol={**_POSITIVE, "default": 1e-13},
+            output={"type": "string", "default": "disc"},
+        ),
+    ),
 }
 
 
@@ -294,23 +271,10 @@ def _schema_error(value, schema, path=""):
 
     Covers the JSON Schema 2020-12 keywords the schemas above use: type, enum,
     minimum, exclusiveMinimum, minItems, maxItems, items, required, properties,
-    additionalProperties (false) and oneOf.  path is the dotted instance path.
+    additionalProperties (false) and oneOf (default only annotates).
+    path is the dotted instance path.
     """
     at = path or "config"
-    if "oneOf" in schema:
-        branches = schema["oneOf"]
-        errors = [_schema_error(value, b, path) for b in branches]
-        if errors.count(None) == 1:
-            return None
-        # with no match, report the one branch that value has the type and keys of
-        fits = [
-            err for b, err in zip(branches, errors)
-            if _schema_error(value, {k: b[k] for k in ("type", "required") if k in b}) is None
-        ]
-        if len(fits) == 1 and fits[0] is not None:
-            return fits[0]
-        how = "valid under more than one" if None in errors else "not valid under any"
-        return f"{at}: {value!r} is {how} of the given schemas"
     if "type" in schema and not _has_type(value, schema["type"]):
         return f"{at}: {value!r} is not of type {schema['type']!r}"
     if "enum" in schema and value not in schema["enum"]:
@@ -348,13 +312,54 @@ def _schema_error(value, schema, path=""):
                 err = _schema_error(item, props[key], _child(path, key))
                 if err:
                     return err
+    if "oneOf" in schema:  # after the keywords beside it, which hold whatever the branch
+        branches = schema["oneOf"]
+        errors = [_schema_error(value, b, path) for b in branches]
+        if errors.count(None) == 1:
+            return None
+        # with no match, report the one branch that value has the shape of
+        fits = [err for b, err in zip(branches, errors) if _schema_error(value, _shape(b)) is None]
+        if len(fits) == 1 and fits[0] is not None:
+            return fits[0]
+        how = "valid under more than one" if None in errors else "not valid under any"
+        return f"{at}: {value!r} is {how} of the given schemas"
     return None
+
+
+def _shape(branch) -> dict:
+    """What picks a oneOf branch: its enum-valued properties, else its type and required keys."""
+    enums = {k: p for k, p in branch.get("properties", {}).items() if "enum" in p}
+    return {"properties": enums} if enums else {k: branch[k] for k in ("type", "required") if k in branch}
 
 
 def _validate_config(cfg, schema) -> None:
     err = _schema_error(cfg, schema)
     if err is not None:
         raise ConfigError(err)
+
+
+def _with_defaults(value, schema):
+    """value, valid under schema, with a copy of each absent property's default, at every depth."""
+    if "oneOf" in schema:
+        schema = next(b for b in schema["oneOf"] if _schema_error(value, b) is None)
+    if not (isinstance(value, dict) and "properties" in schema):
+        return value
+    props = schema["properties"]
+    filled = {k: copy.deepcopy(p["default"]) for k, p in props.items() if "default" in p and k not in value}
+    return {k: _with_defaults(v, props[k]) for k, v in {**value, **filled}.items()}
+
+
+def _resolve(cfg, schema, tol_override) -> dict:
+    """cfg, valid under schema, with every default filled in and tol_override,
+    if given, as its tolerance."""
+    cfg = _with_defaults(cfg, schema)
+    if "surface" in cfg:
+        cfg.setdefault("target_pair", cfg["surface"]["pair"])
+    if "example" in cfg:
+        cfg.setdefault("snapshot_times", [0.0, 0.5 * cfg["t_final"], cfg["t_final"]])
+    if "tolerance" in cfg:
+        cfg["tolerance"] = float(cfg["tolerance"] if tol_override is None else tol_override)
+    return cfg
 
 
 def _load_config(path) -> dict:
@@ -372,7 +377,7 @@ def _load_config(path) -> dict:
 def _make_system(spec):
     if isinstance(spec, str):
         return builtin_system(spec)
-    name, params = spec["name"], spec.get("params", {})
+    name, params = spec["name"], spec["params"]
     if name in BUILTIN_SYSTEMS:  # builtin_system reports an unknown name
         accepted = inspect.signature(BUILTIN_SYSTEMS[name]).parameters
         for key, value in params.items():
@@ -391,8 +396,8 @@ def _run_propagation(cfg):
         system,
         np.asarray(cfg["initial_state"], dtype=float),
         tuple(cfg["t_span"]),
-        IntegratorSettings(**cfg.get("integrator", {})),
-        samples=cfg.get("samples", 100),
+        IntegratorSettings(**cfg["integrator"]),
+        samples=cfg["samples"],
         t_eval=cfg.get("t_eval"),
     )
 
@@ -404,26 +409,18 @@ def _resolve_stm(spec, rng) -> np.ndarray:
         M = _float_array(spec["matrix"], "stm.matrix")
     elif "trajectory" in spec:
         stms = sio.load_trajectory(spec["trajectory"]).stms
-        k = spec.get("sample", -1)
+        k = spec["sample"]
         if not -len(stms) <= k < len(stms):
             raise ConfigError(f"stm.sample {k} out of range for a trajectory of {len(stms)} samples")
         M = stms[k]
-    elif "random_symplectic" in spec:
+    else:
         rs = spec["random_symplectic"]
-        M = random_symplectic(rs["n_pairs"], rng, scale=rs.get("scale", 1.0))
-    else:  # pragma: no cover - schema forbids this
-        raise ConfigError("unrecognized stm source")
+        M = random_symplectic(rs["n_pairs"], rng, scale=rs["scale"])
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
         raise ConfigError(f"stm must be square and even-dimensional, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ConfigError("stm has non-finite entries (NaN or infinity)")
     return M
-
-
-def _tolerance(cfg, args, default=1e-8) -> float:
-    if args.tol_override is not None:
-        return float(args.tol_override)
-    return float(cfg.get("tolerance", default))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +431,7 @@ def _tolerance(cfg, args, default=1e-8) -> float:
 def cmd_propagate(cfg, args, outdir: Path) -> int:
     """co-integrate a Hamiltonian system and its STM, write the trajectory"""
     traj = _run_propagation(cfg)
-    base = cfg.get("output", "trajectory")
+    base = cfg["output"]
     if args.format == "json":
         path = outdir / f"{base}.json"
         sio.trajectory_to_json(traj, path)
@@ -470,8 +467,8 @@ def cmd_invariants(cfg, args, outdir: Path) -> int:
             "'initial_state', 't_span')"
         )
     n = traj.n_pairs
-    tol = _tolerance(cfg, args)
-    splits = [tuple(s) for s in cfg.get("splits", [])] or list(pair_subsets(n, proper=True))
+    tol = cfg["tolerance"]
+    splits = [tuple(s) for s in cfg["splits"]] or list(pair_subsets(n, proper=True))
     for s in splits:
         if max(s) > n:
             raise ConfigError(f"split {list(s)} out of range for {n} pairs")
@@ -529,7 +526,7 @@ def cmd_invariants(cfg, args, outdir: Path) -> int:
         "samples": samples,
         "violations": violations,
     }
-    base = cfg.get("output", "invariants")
+    base = cfg["output"]
     sio.write_json(report, outdir / f"{base}.json")
     sio.invariant_report_to_csv(report, outdir / f"{base}.csv")
 
@@ -552,8 +549,7 @@ def cmd_skeleton(cfg, args, outdir: Path) -> int:
     """conjugate eigenpair analysis of one STM"""
     rng = np.random.default_rng(args.seed)
     Phi = _resolve_stm(cfg["stm"], rng)
-    tol = _tolerance(cfg, args)
-    sk = compute_skeleton(Phi, tol=tol)
+    sk = compute_skeleton(Phi, tol=cfg["tolerance"])
     rep = verify_pairing(sk)
     export = {
         "n_pairs": sk.n_pairs,
@@ -572,7 +568,7 @@ def cmd_skeleton(cfg, args, outdir: Path) -> int:
             "image_gram_offdiag": rep.image_gram_offdiag,
         },
     }
-    base = cfg.get("output", "skeleton")
+    base = cfg["output"]
     path = outdir / f"{base}.json"
     sio.write_json(export, path)
     spectrum = ", ".join(sio.fmt(v) for v in sk.lambdas)
@@ -583,16 +579,12 @@ def cmd_skeleton(cfg, args, outdir: Path) -> int:
 
 
 def _make_surface(spec):
-    kind = spec["type"]
-    n = spec["n_pairs"]
+    n, pair = spec["n_pairs"], spec["pair"]
     kwargs = {key: spec[key] for key in ("bounds", "cells", "anchor") if key in spec}
-    pair = spec.get("pair", 1)
     if not 1 <= pair <= n:
         raise ConfigError(f"surface.pair {pair} out of range for {n} pairs")
-    if kind == "lamina":
+    if spec["type"] == "lamina":
         return lamina(pair, n, **kwargs)
-    if "coeffs" not in spec:
-        raise ConfigError("missing required field 'surface.coeffs' for linear_graph")
     return linear_graph_surface(pair, n, _float_array(spec["coeffs"], "surface.coeffs"), **kwargs)
 
 
@@ -608,12 +600,11 @@ def cmd_surface(cfg, args, outdir: Path) -> int:
         raise ConfigError(
             f"stm dimension {Phi.shape[0]} does not match surface phase dimension {2 * n}"
         )
-    target = cfg.get("target_pair", cfg["surface"].get("pair", 1))
+    target, tol = cfg["target_pair"], cfg["tolerance"]
     if not 1 <= target <= n:
         raise ConfigError(f"target_pair {target} out of range for {n} pairs")
-    tol = _tolerance(cfg, args)
 
-    dm = density_map(s, Phi, target, caustic_tol=cfg.get("caustic_tol", 1e-12))
+    dm = density_map(s, Phi, target, caustic_tol=cfg["caustic_tol"])
     area = float(np.sum(dm.area_factor)) * s.cell_volume
     para_res = float(np.max(np.abs(dm.pullback_density - 1.0)))
     # the symplectic density of Phi L is also the sum of its pair-plane shadows
@@ -643,7 +634,7 @@ def cmd_surface(cfg, args, outdir: Path) -> int:
         }
         refined["area_change"] = refined["area"] - area
 
-    base = cfg.get("output", "surface")
+    base = cfg["output"]
     csv_path = outdir / f"{base}_density.csv"
     sio.density_map_to_csv(dm, csv_path)
     report = {
@@ -681,21 +672,21 @@ def cmd_surface(cfg, args, outdir: Path) -> int:
 
 
 def _control_from_config(spec):
-    fam = spec.get("family", "zero")
+    fam = spec["family"]
     if fam == "zero":
         return zero_control()
     if fam == "constant":
-        return constant_control(spec.get("u", 0.0), spec.get("v", 0.0))
+        return constant_control(spec["u"], spec["v"])
     if fam == "bloch":
         return bloch_control()
     if fam == "fourier":
         return fourier_control(
-            spec.get("u0", 0.0),
-            spec.get("u_cos", []),
-            spec.get("u_sin", []),
-            spec.get("v0", 0.0),
-            spec.get("v_cos", []),
-            spec.get("v_sin", []),
+            spec["u0"],
+            spec["u_cos"],
+            spec["u_sin"],
+            spec["v0"],
+            spec["v_cos"],
+            spec["v_sin"],
         )
     for key in ("times", "u_values", "v_values"):
         if key not in spec:
@@ -703,12 +694,11 @@ def _control_from_config(spec):
     return tabulated_control(spec["times"], spec["u_values"], spec["v_values"])
 
 
-def _write_snapshots(cfg, path, header, times, at_times, image, default_half=0.5):
+def _write_snapshots(cfg, path, header, times, at_times, image):
     """Rows t, u, v, *image(u, v, a) over the initial patch nodes, u-major, for each t
     in times and its entry a in at_times; one table per grid line u, as whole-grid
     columns per time raised peak RSS by 0.3 MB."""
-    bounds = cfg.get("snapshot_bounds", [[-default_half, default_half]] * 2)
-    cells = cfg.get("snapshot_cells", [8, 8])
+    bounds, cells = cfg["snapshot_bounds"], cfg["snapshot_cells"]
     us = np.linspace(bounds[0][0], bounds[0][1], cells[0] + 1)
     vs = np.linspace(bounds[1][0], bounds[1][1], cells[1] + 1)
 
@@ -722,9 +712,9 @@ def _write_snapshots(cfg, path, header, times, at_times, image, default_half=0.5
 
 
 def _example_heisenberg(cfg, t_final, times, snap_path: Path):
-    ctrl = _control_from_config(cfg.get("control", {"family": "zero"}))
+    ctrl = _control_from_config(cfg["control"])
     # one integration serves the final time and every snapshot time
-    m1, *at_times = moments(ctrl, [t_final, *times], rel_tol=cfg.get("rel_tol", 1e-12))
+    m1, *at_times = moments(ctrl, [t_final, *times], rel_tol=cfg["rel_tol"])
 
     # evolving uncertainty surface: the flow image of an initial (X, Y) patch
     _write_snapshots(cfg, snap_path, ["t", "u", "v", "x", "y", "z"], times, at_times, flow_from_moments)
@@ -735,22 +725,22 @@ def _example_heisenberg(cfg, t_final, times, snap_path: Path):
         "alpha1": m1.alpha,
         "alpha_residual": m1.alpha_residual,
         "f_closed": heisenberg_cost(m1.mu, m1.nu, m1.alpha),
-        "f_quadrature": _cost_quadrature(m1, cfg.get("quadrature_nodes", 16)),
+        "f_quadrature": _cost_quadrature(m1, cfg["quadrature_nodes"]),
     }
 
 
 def _example_disc(cfg, t_final, times, snap_path: Path):
-    spec = cfg.get("control", {"family": "zero"})
-    heis, compliant = _control_from_config(spec), spec.get("compliant", False)
+    spec = cfg["control"]
+    heis, compliant = _control_from_config(spec), spec["compliant"]
     if compliant:
         ctrl = zero_projection_control(heis.u, heis.v)
     else:
-        ctrl = open_loop_control(heis.u, heis.v, lambda t, w0=spec.get("w", 0.0): w0)
+        ctrl = open_loop_control(heis.u, heis.v, lambda t, w0=spec["w"]: w0)
     # the snapshot times are step ends; the samples grid is read from the dense output
-    t_eval, at = _sample_nodes(np.linspace(0.0, t_final, cfg.get("samples", 101)), times)
+    t_eval, at = _sample_nodes(np.linspace(0.0, t_final, cfg["samples"]), times)
     traj = disc_propagate(
-        ctrl, cfg.get("initial_state", [0.0, 0.0, 0.0, 0.5 * math.pi, 0.0]), (0.0, t_final),
-        rel_tol=cfg.get("rel_tol", 1e-11), abs_tol=cfg.get("abs_tol", 1e-13), t_eval=t_eval, stops=at,
+        ctrl, cfg["initial_state"], (0.0, t_final),
+        rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"], t_eval=t_eval, stops=at,
     )
 
     # contact-point shadow of an initial (phi, theta) uncertainty patch
@@ -758,8 +748,7 @@ def _example_disc(cfg, t_final, times, snap_path: Path):
         a, b, c, d = abcd
         return a * du + c * dv, b * du + d * dv
 
-    _write_snapshots(cfg, snap_path, ["t", "u", "v", "dx", "dy"], times, traj.integrals[at, :4], shadow,
-                     default_half=0.1)
+    _write_snapshots(cfg, snap_path, ["t", "u", "v", "dx", "dy"], times, traj.integrals[at, :4], shadow)
     A, B, C, D = traj.integrals[:, :4].T
     return {
         "control": heis.name + ("+compliant" if compliant else ""),
@@ -774,10 +763,9 @@ _SUMMARY_KEYS = ("example", "control", "mu1", "nu1", "alpha1", "alpha_residual",
 
 def cmd_example(cfg, args, outdir: Path) -> int:
     """the two case studies (heisenberg | disc) with configured controls"""
-    base = cfg.get("output", cfg["example"])
+    base = cfg["output"]
     snap_path = outdir / f"{base}_snapshots.csv"
-    t_final = cfg.get("t_final", 1.0)
-    times = cfg.get("snapshot_times", [0.0, 0.5 * t_final, t_final])
+    t_final, times = cfg["t_final"], cfg["snapshot_times"]
     if any(t < 0 or t > t_final for t in times):
         raise ConfigError("snapshot_times must lie inside [0, t_final]")
     example = _example_heisenberg if cfg["example"] == "heisenberg" else _example_disc
@@ -841,8 +829,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        schema = _SCHEMAS[args.command]
         cfg = _load_config(args.config)
-        _validate_config(cfg, _SCHEMAS[args.command])
+        _validate_config(cfg, schema)
+        cfg = _resolve(cfg, schema, args.tol_override)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, args, outdir)

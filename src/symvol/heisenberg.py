@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .propagation import IntegratorSettings, _co_integrate, _sample_nodes, solve_ode_rk45
 
@@ -224,6 +223,7 @@ def heisenberg_cost_quadrature(ctrl: HeisenbergControl, n_nodes: int = 16, rel_t
 
 
 def _cost_quadrature(m: Moments, n_nodes: int) -> float:
+    from numpy.polynomial.legendre import leggauss  # deferred: slow to import
     nodes, weights = leggauss(n_nodes)
     total = 0.0
     for X, wx in zip(nodes, weights):

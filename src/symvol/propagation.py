@@ -104,6 +104,21 @@ def _nodes(t0, t_eval) -> list:
     return t_eval.tolist()
 
 
+def _time_grid(t_span, samples, t_eval) -> np.ndarray:
+    """t_eval, checked to run over t_span = (t0, t1), or samples even steps over it."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if t1 == t0:
+        raise ValueError("degenerate time span: t1 must differ from t0")
+    if t_eval is None:
+        if samples < 2:
+            raise ValueError("need at least two samples")
+        return np.linspace(t0, t1, samples)
+    t_eval = np.asarray(t_eval, dtype=float)
+    if t_eval[0] != t0 or abs(t_eval[-1] - t1) > 1e-12 * max(1.0, abs(t1)):
+        raise ValueError("t_eval must run from t0 to t1")
+    return t_eval
+
+
 def _sample_nodes(grid, times):
     """Forward sample nodes that hit every one of times exactly: the grid,
     less each node but the first that lies nearer a time than the solvers'
@@ -566,23 +581,14 @@ def propagate(
 
     Returns a Trajectory whose first sample is (x0, I).
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 == t0:
-        raise ValueError("degenerate time span: t1 must differ from t0")
+    t_eval = _time_grid(t_span, samples, t_eval)
+    t0 = float(t_eval[0])
     coords0 = x0.coords if isinstance(x0, PhaseState) else np.asarray(x0, dtype=float)
     state0 = PhaseState(coords0, t0)
     if state0.n_pairs != sys.n_pairs:
         raise ValueError(
             f"state has {state0.n_pairs} pairs but system {sys.name!r} has {sys.n_pairs}"
         )
-    if t_eval is None:
-        if samples < 2:
-            raise ValueError("need at least two samples")
-        t_eval = np.linspace(t0, t1, samples)
-    else:
-        t_eval = np.asarray(t_eval, dtype=float)
-        if t_eval[0] != t0 or abs(t_eval[-1] - t1) > 1e-12 * max(1.0, abs(t1)):
-            raise ValueError("t_eval must run from t0 to t1")
 
     # one-off checks the hot path cannot make: a permuted gradient would drop
     # surplus entries silently; the Hessian must be square and symmetric; a quadratic

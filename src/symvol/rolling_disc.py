@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .propagation import IntegrationError, IntegratorSettings, _co_integrate, solve_ode_rk45
+from .propagation import IntegrationError, IntegratorSettings, _co_integrate, _time_grid, solve_ode_rk45
 
 __all__ = [
     "DiscSingularityError",
@@ -176,6 +176,7 @@ def disc_propagate(
     """Integrate the five state equations plus the six STM quadratures.
 
     ctrl is a callable (t, q) -> (u, v, w); q0 a DiscState or length-5 array.
+    It samples at t_eval, which must span t_span, or samples even steps.
     stops are the indices into t_eval the solver lands on exactly (all of
     them by default); the other samples come from its dense output.
     The theta-singularity guard aborts with a diagnostic if the trajectory
@@ -185,11 +186,7 @@ def disc_propagate(
     if q0.shape != (5,):
         raise ValueError("disc state must have 5 components (x, y, phi, theta, psi)")
     _guard_theta(q0[3], float(t_span[0]))
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 == t0:
-        raise ValueError("degenerate time span")
-    if t_eval is None:
-        t_eval = np.linspace(t0, t1, samples)
+    t_eval = _time_grid(t_span, samples, t_eval)
 
     def rhs(t, y):
         q = y[:5]
@@ -201,8 +198,7 @@ def disc_propagate(
         return np.array([*qdot, m02, m12, m02 * E + m03, m12 * E + m13, m23, m43])
 
     y0 = np.concatenate([q0, np.zeros(6)])
-    Y, _ = solve_ode_rk45(rhs, t0, y0, np.asarray(t_eval, dtype=float), rel_tol=rel_tol, abs_tol=abs_tol,
-                          stops=stops)
+    Y, _ = solve_ode_rk45(rhs, float(t_eval[0]), y0, t_eval, rel_tol=rel_tol, abs_tol=abs_tol, stops=stops)
     return DiscTrajectory(t_eval, Y[:, :5], Y[:, 5:])
 
 
@@ -233,15 +229,11 @@ def disc_stm_integrated(
 ):
     """Cross-check STM: co-integrate Phi-dot = (df/dq) Phi with the states.
 
-    Returns (times, stms) with stms[i] the 5x5 STM at times[i].
+    Returns (times, stms) with stms[i] the 5x5 STM at times[i]: t_eval, as
+    in disc_propagate, or 11 even steps.
     """
     q0 = q0.as_array() if isinstance(q0, DiscState) else np.asarray(q0, dtype=float)
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t_eval is None:
-        t_eval = np.linspace(t0, t1, 11)
-    t_eval = np.asarray(t_eval, dtype=float)
-    if t_eval[0] != t0:
-        raise ValueError("t_eval must start at t0")
+    t_eval = _time_grid(t_span, 11, t_eval)
 
     def field(t, q):
         _guard_theta(q[3], t)

@@ -179,6 +179,35 @@ class TestConfigErrors:
                 {"stm": {"sample": 1}},
                 "stm: {'sample': 1} is not valid under any of the given schemas",
             ),
+            ("example", {"example": "foo"}, "example: 'foo' is not one of ['heisenberg', 'disc']"),
+            (
+                "surface",
+                {"surface": {**_LAMINA, "type": "cube"}},
+                "surface.type: 'cube' is not one of ['lamina', 'linear_graph']",
+            ),
+            (
+                "surface",
+                {"surface": {**_LAMINA, "type": "linear_graph"}},
+                "missing required field 'surface.coeffs'",
+            ),
+            # a key that the chosen example or surface type does not read
+            *[
+                (command, cfg,
+                 f"unknown key at {at}: Additional properties are not allowed ({key!r} was unexpected)")
+                for command, cfg, at, key in [
+                    ("example", {"example": "heisenberg", "samples": 5}, "top level", "samples"),
+                    ("example", {"example": "heisenberg", "abs_tol": 1e-9}, "top level", "abs_tol"),
+                    ("example", {"example": "heisenberg", "initial_state": [0, 0, 0, 1, 0]}, "top level",
+                     "initial_state"),
+                    ("example", {"example": "heisenberg", "control": {"family": "zero", "w": 1.0}},
+                     "control", "w"),
+                    ("example", {"example": "heisenberg", "control": {"family": "zero", "compliant": True}},
+                     "control", "compliant"),
+                    ("example", {"example": "disc", "quadrature_nodes": 8}, "top level", "quadrature_nodes"),
+                    ("surface", {"surface": {**_LAMINA, "coeffs": [[0.1, 0.2], [0.0, 0.3]]}}, "surface",
+                     "coeffs"),
+                ]
+            ],
         ],
     )
     def test_schema_messages(self, tmp_path, capsys, command, cfg, message):
@@ -439,6 +468,16 @@ class TestInvariants:
         assert "VIOLATION" in capsys.readouterr().out
         report = json.loads((out / "invariants.json").read_text())
         assert report["violations"]
+
+    def test_tol_override_wins_over_the_config_tolerance(self, tmp_path):
+        cfg = {"system": "pendulum", "initial_state": [0.0, 1.5], "t_span": [0.0, 5.0], "samples": 5,
+               "tolerance": 1.0}
+        code, out = run(tmp_path, "invariants", cfg, "--tol-override", "1e-18")
+        assert code == 4
+        assert json.loads((out / "invariants.json").read_text())["tolerance"] == 1e-18
+        code, out = run(tmp_path, "invariants", cfg)
+        assert code == 0
+        assert json.loads((out / "invariants.json").read_text())["tolerance"] == 1.0
 
     def test_tol_override_flags_roundoff(self, tmp_path):
         code, _ = run(
@@ -979,14 +1018,14 @@ class TestExample:
         bounds, cells = [[-0.3, 0.2], [0.1, 0.4]], [3, 2]
         us, vs = np.linspace(-0.3, 0.2, 4), np.linspace(0.1, 0.4, 3)
         times = [0.0, 0.45, 1.0]
+        control = {"family": "constant", "u": 0.7, "v": -0.2}
         common = {
-            "control": {"family": "constant", "u": 0.7, "v": -0.2, "compliant": True},
             "t_final": 1.0,
             "snapshot_times": times,
             "snapshot_bounds": bounds,
             "snapshot_cells": cells,
         }
-        code, out = run(tmp_path, "example", {"example": "heisenberg", **common})
+        code, out = run(tmp_path, "example", {"example": "heisenberg", "control": control, **common})
         assert code == 0
         lines = ["t,u,v,x,y,z"]
         ctrl = constant_control(0.7, -0.2)
@@ -999,7 +1038,8 @@ class TestExample:
                     lines.append(",".join(fmt(v) for v in (t, X, Y, x, y, z)))
         assert (out / "heisenberg_snapshots.csv").read_text() == "\n".join(lines) + "\n"
 
-        code, out = run(tmp_path, "example", {"example": "disc", "samples": 11, **common})
+        disc = {"example": "disc", "samples": 11, "control": {**control, "compliant": True}, **common}
+        code, out = run(tmp_path, "example", disc)
         assert code == 0
         t_eval = np.unique(np.concatenate([np.linspace(0.0, 1.0, 11), times]))
         # the snapshot times are the solver's stops, as the command makes them
@@ -1101,6 +1141,28 @@ def test_help_lists_each_subcommand_description(capsys, monkeypatch):
         assert any(line.split() == [name, *description.split()] for line in listed)
 
 
+@pytest.mark.parametrize(
+    "command, cfg, artifacts",
+    [
+        ("invariants",
+         {"system": "pendulum", "initial_state": [0.0, 1.5], "t_span": [0.0, 1.0], "samples": 3},
+         ["invariants.json", "invariants.csv"]),
+        ("skeleton", {"stm": {"matrix": [[2.0, 0.0], [0.0, 0.5]]}}, ["skeleton.json"]),
+        ("surface", {"surface": _LAMINA}, ["surface.json", "surface_density.csv"]),
+    ],
+)
+def test_an_integral_tolerance_is_read_as_a_float(tmp_path, command, cfg, artifacts):
+    written = []
+    for tol in (1, 1.0):
+        (tmp_path / repr(tol)).mkdir()
+        code, out = run(tmp_path / repr(tol), command, {**cfg, "tolerance": tol})
+        assert code == 0
+        written.append([(out / name).read_bytes() for name in artifacts])
+    assert written[0] == written[1]
+    if command == "invariants":
+        assert b'"tolerance": 1.0,' in written[0][0]
+
+
 def _loaded_by_cli_import(module) -> bool:
     code = f"import sys, symvol.cli; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -1114,6 +1176,10 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
 
 def test_cli_import_leaves_jsonschema_unloaded():
     assert not _loaded_by_cli_import("jsonschema")
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    assert not _loaded_by_cli_import("numpy.polynomial")
 
 
 def test_successive_main_calls_start_from_the_default_flags(tmp_path):

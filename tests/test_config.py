@@ -1,14 +1,16 @@
 """The in-tree config validator against jsonschema's Draft 2020-12 validator."""
 
+import copy
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from symvol.cli import _SCHEMAS, _schema_error
+from symvol.cli import _SCHEMAS, _resolve, _schema_error
 
 _KEYWORDS = {
     "type", "required", "properties", "additionalProperties", "items", "minItems",
-    "maxItems", "minimum", "exclusiveMinimum", "enum", "oneOf",
+    "maxItems", "minimum", "exclusiveMinimum", "enum", "oneOf", "default",
 }
 
 # a value of any JSON type: the wrong type for most places it lands
@@ -115,3 +117,38 @@ def test_verdicts_match_jsonschema(command, data):
     assert accepted == strict(schema).is_valid(cfg)
     if accepted != base(schema).is_valid(cfg):
         assert not accepted and _holds_integral_float(cfg)
+
+
+def test_every_default_conforms_to_its_property():
+    for schema in _SCHEMAS.values():
+        for sub in _subschemas(schema):
+            if "default" in sub:
+                assert _schema_error(sub["default"], sub) is None, sub
+
+
+def _lacking_defaults(value, schema, path="config"):
+    """The paths of the properties with a default that value, valid under schema, lacks."""
+    if "oneOf" in schema:
+        schema = next(b for b in schema["oneOf"] if _schema_error(value, b) is None)
+    props = schema.get("properties", {})
+    if not isinstance(value, dict):
+        return []
+    lacking = [f"{path}.{k}" for k, p in props.items() if "default" in p and k not in value]
+    for key, item in value.items():
+        lacking += _lacking_defaults(item, props.get(key, {}), f"{path}.{key}")
+    return lacking
+
+
+@pytest.mark.parametrize("command", sorted(_SCHEMAS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_resolving_fills_every_default_once(command, data):
+    schema = _SCHEMAS[command]
+    cfg = data.draw(configs(schema))
+    assume(_schema_error(cfg, schema) is None)
+    raw = copy.deepcopy(cfg)
+    resolved = _resolve(cfg, schema, None)
+    assert cfg == raw
+    assert _schema_error(resolved, schema) is None
+    assert _lacking_defaults(resolved, schema) == []
+    assert _resolve(resolved, schema, None) == resolved

@@ -303,6 +303,13 @@ class TestDiscPropagation:
     def test_guard_error_is_integration_error(self):
         assert issubclass(DiscSingularityError, IntegrationError)
 
+    @pytest.mark.parametrize("integrate", [disc_propagate, disc_stm_integrated])
+    def test_t_eval_must_end_at_t1(self, integrate):
+        # both used to stop at the last t_eval node and ignore t_span[1]
+        ctrl = open_loop_control(lambda t: 1.0, lambda t: 0.0, lambda t: 0.0)
+        with pytest.raises(ValueError, match="t_eval must run from t0 to t1"):
+            integrate(ctrl, [0.0, 0.0, 0.0, 1.0, 0.0], (0.0, 5.0), t_eval=[0.0, 0.5, 1.0])
+
 
 def ref_disc_rhs(t, q, ctrl):
     q = np.asarray(q, dtype=float)
