@@ -11,7 +11,7 @@ surface     area, shadow and density-map report for a parameterized surface
 example     the two case studies (heisenberg | disc) with configured controls
 
 All commands read a JSON config (schema-validated; unknown keys rejected, and
-so are keys the chosen example or surface type does not read) and write
+so are keys the chosen variant does not read) and write
 deterministic artifacts: JSON reports with sorted keys, CSV series with
 17-significant-digit floats, no timestamps.
 
@@ -97,21 +97,20 @@ def _object(required=(), **properties) -> dict:
             "properties": properties}
 
 
-def _variants(field, **branches) -> dict:
-    """The schema of an object that conforms to the branch its field names."""
-    return {"type": "object", "required": [field], "properties": {field: {"enum": list(branches)}},
-            "oneOf": [_object([field, *b["required"]], **{field: {"enum": [name]}}, **b["properties"])
-                      for name, b in branches.items()]}
+def _variants(field, default=None, **branches) -> dict:
+    """The schema of an object that conforms to the branch its field names, or
+    to the default branch if it names none."""
+    return {"type": "object", "required": [field] * (default is None),
+            "properties": {field: {"enum": list(branches)}},
+            "oneOf": [_object([field] * (name != default) + b["required"], **{field: {"enum": [name]}},
+                              **b["properties"]) for name, b in branches.items()]}
 
 
-_INTEGRATOR = _object(  # defaults in IntegratorSettings
-    method={"enum": ["rk45", "rk4"]},
-    rel_tol=_POSITIVE,
-    abs_tol=_POSITIVE,
-    max_step=_POSITIVE,
-    n_steps=_POSITIVE_INT,
-    max_steps=_POSITIVE_INT,
-    residual_budget=_POSITIVE,
+_BUDGET = dict(max_steps=_POSITIVE_INT, residual_budget=_POSITIVE)
+_INTEGRATOR = _variants(  # defaults in IntegratorSettings
+    "method", default="rk45",
+    rk45=_object(rel_tol=_POSITIVE, abs_tol=_POSITIVE, max_step=_POSITIVE, **_BUDGET),
+    rk4=_object(n_steps=_POSITIVE_INT, **_BUDGET),
 )
 
 _SYSTEM = {
@@ -149,23 +148,34 @@ _RUN = dict(
     samples={"type": "integer", "minimum": 2, "default": 100},
     integrator={**_INTEGRATOR, "default": {}},
 )
+# what invariants reads of either source
+_REPORT = dict(
+    # [] stands for every proper split
+    splits={"type": "array", "items": {"type": "array", "items": _POSITIVE_INT, "minItems": 1}, "default": []},
+    tolerance=_TOLERANCE,
+    output={"type": "string", "default": "invariants"},
+)
 
 _COEFF = {"type": "number", "default": 0.0}
 _COEFFS = {**_NUMBER_ARRAY, "default": []}
-_CONTROL = dict(
-    family={"enum": ["zero", "constant", "bloch", "fourier", "tabulated"]},
-    u=_COEFF,
-    v=_COEFF,
-    u0=_COEFF,
-    u_cos=_COEFFS,
-    u_sin=_COEFFS,
-    v0=_COEFF,
-    v_cos=_COEFFS,
-    v_sin=_COEFFS,
-    times=_NUMBER_ARRAY,
-    u_values=_NUMBER_ARRAY,
-    v_values=_NUMBER_ARRAY,
-)
+# each control family's factory and the keys it reads, in argument order
+_FAMILIES = {
+    "zero": (zero_control, {}),
+    "constant": (constant_control, dict(u=_COEFF, v=_COEFF)),
+    "bloch": (bloch_control, {}),
+    "fourier": (fourier_control,
+                dict(u0=_COEFF, u_cos=_COEFFS, u_sin=_COEFFS, v0=_COEFF, v_cos=_COEFFS, v_sin=_COEFFS)),
+    "tabulated": (tabulated_control, dict(times=_NUMBER_ARRAY, u_values=_NUMBER_ARRAY, v_values=_NUMBER_ARRAY)),
+}
+
+
+def _control(**common) -> dict:
+    """One branch per family: the keys it reads, required if without a default,
+    and common; no control is the zero family."""
+    branches = {name: _object([k for k, p in keys.items() if "default" not in p], **keys, **common)
+                for name, (_, keys) in _FAMILIES.items()}
+    return {**_variants("family", **branches), "default": {"family": "zero"}}
+
 
 # what both examples read alike
 _EXAMPLE = dict(
@@ -191,15 +201,10 @@ _SCHEMAS = {
         t_eval={**_NUMBER_ARRAY, "minItems": 2},
         output={"type": "string", "default": "trajectory"},
     ),
-    "invariants": _object(
-        trajectory={"type": "string"},
-        **_RUN,
-        # [] stands for every proper split
-        splits={"type": "array", "items": {"type": "array", "items": _POSITIVE_INT, "minItems": 1},
-                "default": []},
-        tolerance=_TOLERANCE,
-        output={"type": "string", "default": "invariants"},
-    ),
+    "invariants": {"oneOf": [
+        _object(["trajectory"], trajectory={"type": "string"}, **_REPORT),
+        _object(["system", "initial_state", "t_span"], **_RUN, **_REPORT),
+    ]},
     "skeleton": _object(
         ["stm"],
         stm=_STM_SOURCE,
@@ -223,7 +228,7 @@ _SCHEMAS = {
     "example": _variants(
         "example",
         heisenberg=_object(
-            control={**_object(["family"], **_CONTROL), "default": {"family": "zero"}},
+            control=_control(),
             **_EXAMPLE,
             snapshot_bounds={**_SNAPSHOT_BOUNDS, "default": [[-0.5, 0.5], [-0.5, 0.5]]},
             rel_tol={**_POSITIVE, "default": 1e-12},
@@ -231,15 +236,8 @@ _SCHEMAS = {
             output={"type": "string", "default": "heisenberg"},
         ),
         disc=_object(
-            control={
-                **_object(
-                    ["family"],
-                    **_CONTROL,
-                    w=_COEFF,  # the third input, unless compliant
-                    compliant={"type": "boolean", "default": False},
-                ),
-                "default": {"family": "zero"},
-            },
+            # w is the third input, unless compliant
+            control=_control(w=_COEFF, compliant={"type": "boolean", "default": False}),
             **_EXAMPLE,
             snapshot_bounds={**_SNAPSHOT_BOUNDS, "default": [[-0.1, 0.1], [-0.1, 0.1]]},
             initial_state={**_NUMBER_ARRAY, "minItems": 5, "maxItems": 5,
@@ -317,8 +315,11 @@ def _schema_error(value, schema, path=""):
         errors = [_schema_error(value, b, path) for b in branches]
         if errors.count(None) == 1:
             return None
-        # with no match, report the one branch that value has the shape of
+        # with no match, report the one branch that value has the shape of, or
+        # the first if none or several do and every branch has value's type
         fits = [err for b, err in zip(branches, errors) if _schema_error(value, _shape(b)) is None]
+        if len(fits) != 1 and all(_has_type(value, b["type"]) for b in branches):
+            fits = errors[:1]
         if len(fits) == 1 and fits[0] is not None:
             return fits[0]
         how = "valid under more than one" if None in errors else "not valid under any"
@@ -457,15 +458,7 @@ def cmd_propagate(cfg, args, outdir: Path) -> int:
 def cmd_invariants(cfg, args, outdir: Path) -> int:
     """per-sample subdeterminant tables, bracket sums, split expansion factors /
     collapse angles, Wirtinger margins; nonzero exit on violations"""
-    if "trajectory" in cfg:
-        traj = sio.load_trajectory(cfg["trajectory"])
-    elif all(k in cfg for k in ("system", "initial_state", "t_span")):
-        traj = _run_propagation(cfg)
-    else:
-        raise ConfigError(
-            "missing required field 'trajectory' (or inline 'system', "
-            "'initial_state', 't_span')"
-        )
+    traj = sio.load_trajectory(cfg["trajectory"]) if "trajectory" in cfg else _run_propagation(cfg)
     n = traj.n_pairs
     tol = cfg["tolerance"]
     splits = [tuple(s) for s in cfg["splits"]] or list(pair_subsets(n, proper=True))
@@ -672,26 +665,8 @@ def cmd_surface(cfg, args, outdir: Path) -> int:
 
 
 def _control_from_config(spec):
-    fam = spec["family"]
-    if fam == "zero":
-        return zero_control()
-    if fam == "constant":
-        return constant_control(spec["u"], spec["v"])
-    if fam == "bloch":
-        return bloch_control()
-    if fam == "fourier":
-        return fourier_control(
-            spec["u0"],
-            spec["u_cos"],
-            spec["u_sin"],
-            spec["v0"],
-            spec["v_cos"],
-            spec["v_sin"],
-        )
-    for key in ("times", "u_values", "v_values"):
-        if key not in spec:
-            raise ConfigError(f"missing required field 'control.{key}' for tabulated control")
-    return tabulated_control(spec["times"], spec["u_values"], spec["v_values"])
+    factory, keys = _FAMILIES[spec["family"]]
+    return factory(*(spec[k] for k in keys))
 
 
 def _write_snapshots(cfg, path, header, times, at_times, image):

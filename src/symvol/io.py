@@ -152,6 +152,12 @@ def trajectory_to_json(traj: Trajectory, path):
     write_json(obj, path)
 
 
+def _field(obj, key, path):
+    if key not in obj:
+        raise ValueError(f"{path}: missing required field {key!r}")
+    return obj[key]
+
+
 def _loaded_stats(meta=None) -> IntegratorStats:
     if not meta:
         return IntegratorStats("loaded", 0, 0, 0, math.nan, math.nan)
@@ -176,10 +182,9 @@ def load_trajectory(path) -> Trajectory:
         obj = read_json(path)
         if not isinstance(obj, dict):
             raise ValueError(f"{path}: a trajectory JSON must be an object, got {type(obj).__name__}")
-        return Trajectory(  # a null energy_drift reads as NaN
-            obj.get("system", "loaded"), obj["times"], obj["states"], obj["stms"],
-            obj["energy_drift"], _loaded_stats(obj.get("stats")),
-        )
+        fields = [_field(obj, key, path) for key in ("times", "states", "stms", "energy_drift")]
+        # a null energy_drift reads as NaN
+        return Trajectory(obj.get("system", "loaded"), *fields, _loaded_stats(obj.get("stats")))
 
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
@@ -213,7 +218,7 @@ def load_matrix(path) -> np.ndarray:
     path = Path(path)
     if path.suffix.lower() == ".json":
         obj = read_json(path)
-        M = _float_array(obj["matrix"] if isinstance(obj, dict) else obj, f"{path}: matrix")
+        M = _float_array(_field(obj, "matrix", path) if isinstance(obj, dict) else obj, f"{path}: matrix")
     else:
         with open(path, newline="") as fh:
             M = _read_floats(csv.reader(fh))

@@ -620,6 +620,7 @@ def propagate(
             RuntimeWarning,
             stacklevel=2,
         )
-    traj.stats = IntegratorStats(method=settings.method, rel_tol=settings.rel_tol,
-                                 abs_tol=settings.abs_tol, budget_exceedances=exceed, **raw)
+    rk45 = settings.method == "rk45"  # rk4 reads no tolerance: NaN, written as null
+    traj.stats = IntegratorStats(method=settings.method, rel_tol=settings.rel_tol if rk45 else math.nan,
+                                 abs_tol=settings.abs_tol if rk45 else math.nan, budget_exceedances=exceed, **raw)
     return traj

@@ -75,6 +75,9 @@ BAD_TRAJECTORY_FILES = [
      "trajectory stms must be an array of numbers"),
     ("drift_boolean.json", {**HAND_TRAJECTORY, "energy_drift": [None, False]},
      "trajectory energy_drift must be an array of numbers"),
+    # a missing field raised a bare KeyError, printed as "config error: 'stms'"
+    *[(f"no_{key}.json", {k: v for k, v in HAND_TRAJECTORY.items() if k != key},
+       f"{{path}}: missing required field {key!r}") for key in HAND_TRAJECTORY],
 ]
 
 

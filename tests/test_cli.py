@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import re
@@ -95,6 +96,7 @@ _PROPAGATE = {
     "samples": 5,
 }
 _LAMINA = {"type": "lamina", "pair": 1, "n_pairs": 2, "cells": [4, 4]}
+_TABULATED = {"family": "tabulated", "times": [0, 1], "u_values": [0, 0], "v_values": [0, 0]}
 
 
 class TestConfigErrors:
@@ -206,8 +208,36 @@ class TestConfigErrors:
                     ("example", {"example": "disc", "quadrature_nodes": 8}, "top level", "quadrature_nodes"),
                     ("surface", {"surface": {**_LAMINA, "coeffs": [[0.1, 0.2], [0.0, 0.3]]}}, "surface",
                      "coeffs"),
+                    # a key that the chosen control family, integrator method or invariants source does not read
+                    ("example", {"example": "heisenberg", "control": {"family": "zero", "u": 1}}, "control", "u"),
+                    ("example", {"example": "heisenberg", "control": {"family": "constant", "u0": 1}}, "control",
+                     "u0"),
+                    ("example", {"example": "heisenberg", "control": {"family": "bloch", "times": [0, 1]}},
+                     "control", "times"),
+                    ("example", {"example": "heisenberg", "control": {"family": "fourier", "u": 1}}, "control",
+                     "u"),
+                    ("example", {"example": "heisenberg", "control": {**_TABULATED, "u": 1}}, "control", "u"),
+                    ("example", {"example": "disc", "control": {**_TABULATED, "u": 1}}, "control", "u"),
+                    ("propagate", {**_PROPAGATE, "integrator": {"method": "rk4", "rel_tol": 1e-3}}, "integrator",
+                     "rel_tol"),
+                    ("propagate", {**_PROPAGATE, "integrator": {"method": "rk4", "abs_tol": 1e-3}}, "integrator",
+                     "abs_tol"),
+                    ("propagate", {**_PROPAGATE, "integrator": {"method": "rk4", "max_step": 1e-3}}, "integrator",
+                     "max_step"),
+                    ("propagate", {**_PROPAGATE, "integrator": {"method": "rk45", "n_steps": 7}}, "integrator",
+                     "n_steps"),
+                    ("propagate", {**_PROPAGATE, "integrator": {"n_steps": 7}}, "integrator", "n_steps"),
+                    ("invariants", {"trajectory": "t.csv", "samples": 7}, "top level", "samples"),
+                    ("invariants", {"trajectory": "t.csv", "system": "pendulum"}, "top level", "system"),
+                    ("invariants", {"trajectory": "t.csv", "integrator": {"method": "rk4"}}, "top level",
+                     "integrator"),
                 ]
             ],
+            (
+                "example",
+                {"example": "heisenberg", "control": {"family": "tabulated", "times": [0, 1], "v_values": [0, 0]}},
+                "missing required field 'control.u_values'",
+            ),
         ],
     )
     def test_schema_messages(self, tmp_path, capsys, command, cfg, message):
@@ -280,6 +310,13 @@ class TestConfigErrors:
             cfg["surface"] = {"type": "lamina", "n_pairs": 1, "cells": [4, 4]}
         assert run(tmp_path, command, cfg)[0] == 2
         assert capsys.readouterr().err == "config error: stm.matrix must be an array of numbers\n"
+
+    def test_stm_file_without_a_matrix(self, tmp_path, capsys):
+        # a bare KeyError printed "config error: 'matrix'"
+        mpath = tmp_path / "phi.json"
+        mpath.write_text(json.dumps({"rows": [[1, 0], [0, 1]]}))
+        assert run(tmp_path, "skeleton", {"stm": str(mpath)})[0] == 2
+        assert capsys.readouterr().err == f"config error: {mpath}: missing required field 'matrix'\n"
 
     @pytest.mark.parametrize("bad", ["2", False], ids=["string", "boolean"])
     def test_stm_file_holding_a_string_or_boolean(self, tmp_path, capsys, bad):
@@ -950,6 +987,33 @@ class TestExample:
         assert s["AD_minus_BC_max"] <= 1e-9
         snap = (out / "disc_snapshots.csv").read_text().splitlines()
         assert snap[0] == "t,u,v,dx,dy"
+
+    @pytest.mark.parametrize(
+        "family, control, arguments",
+        [
+            ("zero", {}, {}),
+            ("constant", {"u": 0.7, "v": -0.2}, {"u0": 0.7, "v0": -0.2}),
+            ("bloch", {}, {}),
+            ("fourier", {"u0": 0.1, "u_cos": [0.2], "u_sin": [0.3], "v0": 0.4, "v_cos": [0.5], "v_sin": [0.6]},
+             {"u0": 0.1, "u_cos": [0.2], "u_sin": [0.3], "v0": 0.4, "v_cos": [0.5], "v_sin": [0.6]}),
+            ("tabulated", {"times": [0.0, 1.0], "u_values": [0.1, 0.2], "v_values": [0.3, 0.4]},
+             {"ts": [0.0, 1.0], "us": [0.1, 0.2], "vs": [0.3, 0.4]}),
+        ],
+    )
+    def test_control_keys_reach_the_factory_in_order(self, tmp_path, monkeypatch, family, control, arguments):
+        factory, keys = cli._FAMILIES[family]
+        assert set(control) == set(keys)
+        calls = []
+
+        def recorded(*args):
+            calls.append(inspect.signature(factory).bind(*args).arguments)
+            return factory(*args)
+
+        monkeypatch.setitem(cli._FAMILIES, family, (recorded, keys))
+        cfg = {"example": "heisenberg", "control": {"family": family, **control}, "t_final": 0.5,
+               "snapshot_cells": [1, 1]}
+        assert run(tmp_path, "example", cfg)[0] == 0
+        assert calls == [arguments]
 
     def test_disc_singularity_exits_3(self, tmp_path, capsys):
         code, _ = run(

@@ -22,7 +22,7 @@ from symvol.io import (
     write_json,
     write_table,
 )
-from symvol.propagation import IntegratorStats, Trajectory, propagate
+from symvol.propagation import IntegratorSettings, IntegratorStats, Trajectory, propagate
 from symvol.surfaces import density_map, lamina
 from symvol.systems import builtin_system
 
@@ -212,6 +212,17 @@ class TestTrajectoryRoundTrip:
         assert np.array_equal(back.stms, pendulum_traj.stms)
         assert back.stats.steps == pendulum_traj.stats.steps
         assert back.stats.rel_tol == pendulum_traj.stats.rel_tol
+
+    def test_rk4_json_claims_no_tolerance(self, tmp_path):
+        # rk4 reads neither tolerance; its stats used to repeat the settings' tolerances
+        settings = IntegratorSettings(method="rk4", n_steps=600, rel_tol=1e-3)
+        traj = propagate(builtin_system("pendulum"), [0.0, 1.5], (0.0, 3.0), settings, samples=7)
+        path = tmp_path / "traj.json"
+        trajectory_to_json(traj, path)
+        stats = json.loads(path.read_text())["stats"]
+        assert (stats["method"], stats["rel_tol"], stats["abs_tol"]) == ("rk4", None, None)
+        back = load_trajectory(path).stats
+        assert math.isnan(back.rel_tol) and math.isnan(back.abs_tol)
 
     def test_residuals_recomputed_not_trusted(self, tmp_path, pendulum_traj):
         path = tmp_path / "traj.json"
