@@ -315,11 +315,13 @@ def _schema_error(value, schema, path=""):
         errors = [_schema_error(value, b, path) for b in branches]
         if errors.count(None) == 1:
             return None
-        # with no match, report the one branch that value has the shape of, or
-        # the first if none or several do and every branch has value's type
+        # with no match, report the one branch that value has the shape of; if none
+        # or several do and every branch has value's type, the branch whose
+        # required keys value holds the most of (the first on a tie)
         fits = [err for b, err in zip(branches, errors) if _schema_error(value, _shape(b)) is None]
         if len(fits) != 1 and all(_has_type(value, b["type"]) for b in branches):
-            fits = errors[:1]
+            held = [sum(key in value for key in b.get("required", ())) for b in branches]
+            fits = [errors[held.index(max(held))]]
         if len(fits) == 1 and fits[0] is not None:
             return fits[0]
         how = "valid under more than one" if None in errors else "not valid under any"

@@ -46,16 +46,38 @@ _BLOCK = 256
 def write_table(path, header, tables):
     """CSV file: the header line (none when header is None), then the rows of
     each table in turn, every value formatted as fmt does.  A table is a list of
-    equally long columns, each 1-D or 2-D; tables may come from a generator."""
+    equally long columns, each 1-D or 2-D; tables may come from a generator.  A
+    CSV column that holds one value through its table, bit for bit, is formatted
+    once into the row template."""
     with open(path, "w", newline="") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
         for columns in tables:
-            for start in range(0, len(columns[0]), _BLOCK):
-                block = np.column_stack([c[start : start + _BLOCK] for c in columns])
-                row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+            rows = len(columns[0])
+            if not rows:
+                continue
+            texts, varying = [], []
+            for a in (np.asarray(c).reshape(rows, np.size(c[0])) for c in columns):  # 1-D: width 1
+                same = _constant_columns(a)
+                texts += [fmt(v) if one else "%.17g" for v, one in zip(a[0], same)]
+                varying += [a[:, j] for j in np.flatnonzero(~same)] if same.any() else [a]
+            row = ",".join(texts) + "\n"
+            if not varying:
+                fh.write(row * rows)
+                continue
+            for start in range(0, rows, _BLOCK):
+                block = np.column_stack([c[start : start + _BLOCK] for c in varying])
                 for values in block:
                     fh.write(row % tuple(values.tolist()))
+
+
+def _constant_columns(a) -> np.ndarray:
+    """Which columns of the 2-D array a hold one value, bit for bit (-0.0 is not 0.0; NaN payloads count)."""
+    bits = a.astype(float, copy=False).view(np.int64) if a.dtype.kind == "f" else a
+    same = bits[0] == bits[-1]  # a cheap filter before the full comparison
+    for j in np.flatnonzero(same):
+        same[j] = np.all(bits[:, j] == bits[0, j])
+    return same
 
 
 def _read_floats(rows) -> np.ndarray:

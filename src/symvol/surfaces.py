@@ -174,11 +174,12 @@ def linear_graph_surface(
 _BLOCK = 256
 
 
-def _per_cell(s: SurfaceParam, fn) -> tuple:
-    """fn(points, frames) over the grid, one block of b cells at a time: the
-    embedded cell centers (b, 2n) and tangent frames (b, 2n, 2k) in, a tuple of
-    per-cell columns out, each filled into its own array (a wide stack raised peak RSS)."""
-    centers = s.cell_centers()
+def _per_cell(s: SurfaceParam, fn, centers=None) -> tuple:
+    """fn(points, frames) over the cell centers (or centers), one block of b cells at
+    a time: the embedded points (b, 2n) and tangent frames (b, 2n, 2k) in, a tuple of
+    per-cell columns out, each filled into its own array (a wide stack raised peak RSS).
+    A block of one frame, bit for bit, passes that frame alone and its figures fill the block."""
+    centers = s.cell_centers() if centers is None else centers
     dim, width = 2 * s.n_pairs, 2 * s.k
     out = None
     for start in range(0, len(centers), _BLOCK):
@@ -188,7 +189,8 @@ def _per_cell(s: SurfaceParam, fn) -> tuple:
         if points.shape != (len(block), dim) or frames.shape != (len(block), dim, width):
             raise ValueError(f"embed and jacobian must map (b, {width}) points to (b, {dim}) and "
                              f"(b, {dim}, {width}), got {points.shape} and {frames.shape}")
-        columns = fn(points, frames)
+        bits = frames.view(np.int64)  # -0.0 is not 0.0, and NaN payloads count
+        columns = fn(points, frames[:1] if np.all(bits == bits[:1]) else frames)
         out = out or tuple(np.empty((len(centers),) + np.shape(c)[1:]) for c in columns)
         for whole, c in zip(out, columns):
             whole[start : start + len(block)] = c
@@ -303,7 +305,8 @@ def density_map(s: SurfaceParam, Phi, target: int, caustic_tol: float = 1e-12) -
         return (image, volume_2k(L), poincare_cartan_sum(L), volume_2k(PL),
                 poincare_cartan_sum(PL), np.linalg.det(P.T @ PL))
 
-    image, sqrtg, pullback, mapped, mapped_density, shadow = _per_cell(s, cell)
+    uv = s.cell_centers()
+    image, sqrtg, pullback, mapped, mapped_density, shadow = _per_cell(s, cell, uv)
 
     caustic = np.abs(shadow) < caustic_tol
     if bool(np.all(caustic)):
@@ -316,7 +319,7 @@ def density_map(s: SurfaceParam, Phi, target: int, caustic_tol: float = 1e-12) -
     ok = ~caustic
     sigma[ok] = sqrtg[ok] / (np.abs(shadow[ok]) * s.cell_volume * total_sqrtg)
     return DensityMap(
-        target_pair=int(target), uv=s.cell_centers(), image=image, sigma=sigma, prob=prob,
+        target_pair=int(target), uv=uv, image=image, sigma=sigma, prob=prob,
         caustic=caustic, area_factor=sqrtg, pullback_density=pullback,
         mapped_area_factor=mapped, mapped_density=mapped_density,
     )

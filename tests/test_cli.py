@@ -238,6 +238,10 @@ class TestConfigErrors:
                 {"example": "heisenberg", "control": {"family": "tabulated", "times": [0, 1], "v_values": [0, 0]}},
                 "missing required field 'control.u_values'",
             ),
+            # an inline run missing one key is told that key, not to give a trajectory
+            ("invariants", {"system": "pendulum", "initial_state": [0, 1]}, "missing required field 't_span'"),
+            ("invariants", {"system": "pendulum", "t_span": [0, 1]}, "missing required field 'initial_state'"),
+            ("invariants", {"initial_state": [0, 1], "t_span": [0, 1]}, "missing required field 'system'"),
         ],
     )
     def test_schema_messages(self, tmp_path, capsys, command, cfg, message):

@@ -72,6 +72,89 @@ class TestWriteTable:
             assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()
 
 
+def reference_write_table(path, header, tables):
+    """The row-at-a-time writer: every row formatted from its own values."""
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for columns in tables:
+            for start in range(0, len(columns[0]), 256):
+                block = np.column_stack([c[start : start + 256] for c in columns])
+                row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+                for values in block:
+                    fh.write(row % tuple(values.tolist()))
+
+
+NAN_PAYLOADS = np.array(
+    [0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64
+).view(np.float64)
+SPECIALS = [0.0, -0.0, *NAN_PAYLOADS, math.inf, -math.inf, 5e-324, -2.5e-310, 1.0, 0.1]
+
+
+@st.composite
+def constant_heavy_tables(draw):
+    """1-3 tables whose columns are often constant: +0.0, -0.0, NaNs of one or
+    several payloads, +-inf, subnormals, booleans, or one value but in one row;
+    1-D columns and 2-D ones, down to width 0, over 0, 1 and block-spanning row counts."""
+    block = sio._BLOCK
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["constant", "signed_zeros", "nans", "bools", "one_row_differs", "random"])
+    specials = st.sampled_from(SPECIALS)
+
+    def component(rows):
+        kind = draw(kinds)
+        if kind == "signed_zeros":
+            return rng.choice([0.0, -0.0], size=rows)
+        if kind == "nans":
+            return rng.choice(NAN_PAYLOADS, size=rows)
+        if kind == "bools":
+            return rng.random(rows) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+        if kind == "random":
+            return rng.standard_normal(rows)
+        column = np.full(rows, draw(specials))
+        if kind == "one_row_differs" and rows:
+            column[rng.integers(rows)] = draw(specials)
+        return column
+
+    def table(rows):
+        columns = []
+        for width in draw(st.lists(st.sampled_from([None, 0, 1, 2, 3]), min_size=1, max_size=4)):
+            if width is None:
+                columns.append(component(rows))
+            else:
+                columns.append(np.column_stack([component(rows) for _ in range(width)] or [np.empty((rows, 0))]))
+        return columns
+
+    sizes = st.sampled_from([0, 1, 2, block - 1, block, block + 1, 2 * block + 1])
+    return [table(rows) for rows in draw(st.lists(sizes, min_size=1, max_size=3))]
+
+
+class TestWriteTableMatchesRowWriter:
+    """Constant columns are formatted once; the bytes stay those of formatting
+    every row from its own values."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(tables=constant_heavy_tables(), with_header=st.booleans(), generator=st.booleans())
+    def test_bytes_match_the_row_writer(self, tables, with_header, generator):
+        header = ["h"] if with_header else None
+        with tempfile.TemporaryDirectory() as tmp:
+            ref, got = Path(tmp) / "ref.csv", Path(tmp) / "got.csv"
+            reference_write_table(ref, header, tables)
+            write_table(got, header, (t for t in tables) if generator else tables)
+            assert got.read_bytes() == ref.read_bytes()
+
+    def test_a_flat_density_map_formats_its_constant_columns_once(self, tmp_path, monkeypatch):
+        dm = density_map(lamina(1, 2, cells=(17, 31)), np.diag([2.0, 0.5, 1.0, 1.0]), 1)
+        formatted = []
+        monkeypatch.setattr(sio, "fmt", lambda x: formatted.append(x) or fmt(x))
+        density_map_to_csv(dm, tmp_path / "got.csv")
+        assert len(formatted) == 3  # sigma, prob and caustic_flag; P_i and Q_i vary
+        table = [dm.image, np.where(dm.caustic, math.nan, dm.sigma), dm.prob, dm.caustic]
+        reference_write_table(tmp_path / "ref.csv", ["P_i", "Q_i", "sigma", "prob", "caustic_flag"], [table])
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert np.all(dm.sigma == dm.sigma[0]) and np.all(dm.prob == dm.prob[0])
+
+
 def ref_jsonable(obj):
     """The recursive walk write_json replaced: json.dumps of its result is the reference."""
     if isinstance(obj, dict):

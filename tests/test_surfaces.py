@@ -28,6 +28,7 @@ from symvol import (
     signed_shadow_integral,
     surface_area,
     unsigned_shadow_integral,
+    volume_2k,
 )
 from conftest import compose_surface, equal_rotation, squeeze_rotate
 
@@ -456,3 +457,152 @@ class TestGridWalkMatchesPerPoint:
         rng = np.random.default_rng(seed)
         s = curved_graph(cells=GRIDS[1][0 if fine else 1], c=rng.uniform(-1.0, 1.0))
         assert_walk_matches_reference(s, random_symplectic(2, rng), int(rng.integers(1, 3)))
+
+
+def per_cell_reference(s, Phi, target):
+    """Every column the grid walk yields, from one embed and one jacobian call per
+    cell and the kernels on that cell's frame alone.  A NaN frame has no SVD, so
+    its area factors are missing, and a k = 2 surface has no shadow determinant."""
+    P = pair_projection(target, s.n_pairs)
+    columns = {}
+    for pt in s.cell_centers():
+        x, L = s.embed(pt), s.jacobian(pt)
+        PL = Phi @ L
+        figures = dict(image=(P.T @ (Phi @ (x - s.anchor)[:, None]))[:, 0],
+                       pullback_density=poincare_cartan_sum(L), mapped_density=poincare_cartan_sum(PL))
+        if s.k == 1:
+            figures["shadow"] = np.linalg.det(P.T @ PL)
+        try:
+            figures.update(area_factor=volume_2k(L), mapped_area_factor=volume_2k(PL))
+        except np.linalg.LinAlgError:
+            pass
+        for name, value in figures.items():
+            columns.setdefault(name, []).append(value)
+    m = len(s.cell_centers())
+    return {name: np.array(values) for name, values in columns.items() if len(values) == m}
+
+
+def bits(x):
+    """x as int64 words: -0.0 differs from 0.0, and NaNs compare by payload."""
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def assert_walk_is_bitwise_reference(s, Phi, target, caustic_tol=1e-12):
+    """The grid walk's figures equal the per-cell reference bit for bit, or both raise."""
+    ref = per_cell_reference(s, Phi, target)
+    cv, pullback, mapped_density = s.cell_volume, ref["pullback_density"], ref["mapped_density"]
+    assert bits(parasymplectic_residual(s)) == bits(float(np.max(np.abs(pullback - 1.0))))
+    assert bits(signed_shadow_integral(s, Phi)) == bits(float(np.sum(mapped_density)) * cv)
+    assert bits(unsigned_shadow_integral(s, Phi)) == bits(float(np.sum(np.abs(mapped_density))) * cv)
+    if "area_factor" not in ref:
+        with pytest.raises(np.linalg.LinAlgError):
+            surface_area(s)
+        if s.k == 1:
+            with pytest.raises(np.linalg.LinAlgError):
+                density_map(s, Phi, target, caustic_tol)
+        return
+    sqrtg = ref["area_factor"]
+    assert bits(surface_area(s)) == bits(float(np.sum(sqrtg)) * cv)
+    if s.k != 1:
+        return
+    shadow = ref["shadow"]
+    caustic = np.abs(shadow) < caustic_tol
+    if np.all(caustic):
+        with pytest.raises(CausticError):
+            density_map(s, Phi, target, caustic_tol)
+        return
+    dm = density_map(s, Phi, target, caustic_tol)
+    total = float(np.sum(sqrtg))
+    sigma = np.full(sqrtg.shape, np.nan)
+    sigma[~caustic] = sqrtg[~caustic] / (np.abs(shadow[~caustic]) * cv * total)
+    expected = dict(
+        uv=s.cell_centers(), image=ref["image"], sigma=sigma, prob=sqrtg / total, caustic=caustic,
+        area_factor=sqrtg, pullback_density=pullback, mapped_area_factor=ref["mapped_area_factor"],
+        mapped_density=mapped_density,
+    )
+    for name, column in expected.items():
+        got = getattr(dm, name)
+        assert got.shape == column.shape, name
+        assert np.array_equal(bits(got), bits(column)), name
+
+
+def one_cell_differs(s, frame, cell):
+    """s with the tangent frame of one grid cell replaced by frame."""
+    special = s.cell_centers()[cell]
+
+    def jacobian(u):
+        frames = s.jacobian(u)
+        frames[np.all(np.asarray(u) == special, axis=-1)] = frame
+        return frames
+
+    return replace(s, jacobian=jacobian)
+
+
+class TestGridWalkIsPerCellBitwise:
+    """A block of one repeated frame is evaluated once; each figure keeps the
+    bits that evaluating every cell on its own gives."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        wide=st.booleans(),
+        grid=st.integers(0, 1),
+        variant=st.sampled_from(["flat", "one_cell", "signed_zero", "nan_everywhere", "nan_one_cell"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings("ignore:.*encountered in det:RuntimeWarning")  # NaN frames
+    def test_figures_match_the_per_cell_reference(self, seed, n, wide, grid, variant):
+        rng = np.random.default_rng(seed)
+        k = 2 if wide and n >= 2 else 1
+        cells = GRIDS[k][grid]
+        L = rng.uniform(-1.0, 1.0, size=(2 * n, 2 * k))
+        L[rng.random(L.shape) < 0.3] = 0.0  # exact zeros, which -0.0 can replace
+        if variant == "nan_everywhere":
+            L[rng.integers(2 * n), rng.integers(2 * k)] = np.nan
+        s = linear_surface(L, ((-1.0, 0.5),) * (2 * k), cells, anchor=rng.uniform(-1.0, 1.0, size=2 * n))
+        cell = int(rng.integers(s.cell_centers().shape[0]))
+        if variant == "one_cell":
+            s = one_cell_differs(s, rng.uniform(-1.0, 1.0, size=L.shape), cell)
+        elif variant == "signed_zero":
+            other = L.copy()
+            other[0, 0] = -0.0  # the same value as 0.0, not the same bits
+            L[0, 0] = 0.0
+            s = one_cell_differs(linear_surface(L, s.bounds, cells, anchor=s.anchor), other, cell)
+        elif variant == "nan_one_cell":
+            other = L.copy()
+            other[-1, -1] = np.nan
+            s = one_cell_differs(s, other, cell)
+        Phi = random_symplectic(n, rng)
+        assert_walk_is_bitwise_reference(s, Phi, int(rng.integers(1, n + 1)))
+
+    def test_lamina_under_a_caustic_map(self):
+        # a quarter turn of pair 1 into pair 2: the target pair-1 shadow vanishes everywhere
+        assert_walk_is_bitwise_reference(lamina(1, 2, cells=(17, 31)), equal_rotation(math.pi / 2), 1)
+
+    def test_one_frame_call_per_repeated_block(self, monkeypatch):
+        import symvol.surfaces as surfaces
+
+        stacks = []
+
+        def counted(V):
+            stacks.append(len(V))
+            return volume_2k(V)
+
+        monkeypatch.setattr(surfaces, "volume_2k", counted)
+        s = lamina(1, 2, cells=(17, 31))  # blocks of 256, 256 and 15 cells
+        surface_area(s)
+        surface_area(one_cell_differs(s, 2.0 * pair_projection(1, 2), 300))
+        assert stacks == [1, 1, 1] + [1, 256, 1]
+
+    def test_density_map_makes_the_cell_centers_once(self, monkeypatch):
+        calls = []
+        cell_centers = SurfaceParam.cell_centers
+
+        def counted(self):
+            calls.append(self.cells)
+            return cell_centers(self)
+
+        monkeypatch.setattr(SurfaceParam, "cell_centers", counted)
+        dm = density_map(lamina(1, 2, cells=(17, 31)), np.eye(4), 1)
+        assert calls == [(17, 31)]
+        assert np.array_equal(dm.uv, cell_centers(lamina(1, 2, cells=(17, 31))))
