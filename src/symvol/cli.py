@@ -169,12 +169,16 @@ _FAMILIES = {
 }
 
 
-def _control(**common) -> dict:
-    """One branch per family: the keys it reads, required if without a default,
-    and common; no control is the zero family."""
-    branches = {name: _object([k for k, p in keys.items() if "default" not in p], **keys, **common)
-                for name, (_, keys) in _FAMILIES.items()}
-    return {**_variants("family", **branches), "default": {"family": "zero"}}
+def _control(*modes, **beside) -> dict:
+    """One branch per family and mode (by default one, of no keys): the keys the
+    family reads and the mode's, required if without a default; beside are the
+    properties checked before a branch is picked.  No control is the zero family."""
+    schemas = [_variants("family", **{name: _object([k for k, p in {**keys, **mode}.items() if "default" not in p],
+                                                     **keys, **mode)
+                                      for name, (_, keys) in _FAMILIES.items()})
+               for mode in modes or [{}]]
+    return {**schemas[0], "properties": {**schemas[0]["properties"], **beside},
+            "oneOf": [b for schema in schemas for b in schema["oneOf"]], "default": {"family": "zero"}}
 
 
 # what both examples read alike
@@ -237,7 +241,8 @@ _SCHEMAS = {
         ),
         disc=_object(
             # w is the third input, unless compliant
-            control=_control(w=_COEFF, compliant={"type": "boolean", "default": False}),
+            control=_control(dict(w=_COEFF, compliant={"enum": [False], "default": False}),
+                             dict(compliant={"enum": [True]}), compliant={"type": "boolean"}),
             **_EXAMPLE,
             snapshot_bounds={**_SNAPSHOT_BOUNDS, "default": [[-0.1, 0.1], [-0.1, 0.1]]},
             initial_state={**_NUMBER_ARRAY, "minItems": 5, "maxItems": 5,
@@ -316,14 +321,14 @@ def _schema_error(value, schema, path=""):
         if errors.count(None) == 1:
             return None
         # with no match, report the one branch that value has the shape of; if none
-        # or several do and every branch has value's type, the branch whose
-        # required keys value holds the most of (the first on a tie)
-        fits = [err for b, err in zip(branches, errors) if _schema_error(value, _shape(b)) is None]
+        # or several do and every branch has value's type, the branch of those (of
+        # all, if none) whose required keys value holds the most of (the first on a tie)
+        fits = [i for i, b in enumerate(branches) if _schema_error(value, _shape(b)) is None]
         if len(fits) != 1 and all(_has_type(value, b["type"]) for b in branches):
-            held = [sum(key in value for key in b.get("required", ())) for b in branches]
-            fits = [errors[held.index(max(held))]]
-        if len(fits) == 1 and fits[0] is not None:
-            return fits[0]
+            fits = [max(fits or range(len(branches)),
+                        key=lambda i: sum(key in value for key in branches[i].get("required", ())))]
+        if len(fits) == 1 and errors[fits[0]] is not None:
+            return errors[fits[0]]
         how = "valid under more than one" if None in errors else "not valid under any"
         return f"{at}: {value!r} is {how} of the given schemas"
     return None
@@ -713,12 +718,9 @@ def _example_disc(cfg, t_final, times, snap_path: Path):
         ctrl = zero_projection_control(heis.u, heis.v)
     else:
         ctrl = open_loop_control(heis.u, heis.v, lambda t, w0=spec["w"]: w0)
-    # the snapshot times are step ends; the samples grid is read from the dense output
     t_eval, at = _sample_nodes(np.linspace(0.0, t_final, cfg["samples"]), times)
-    traj = disc_propagate(
-        ctrl, cfg["initial_state"], (0.0, t_final),
-        rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"], t_eval=t_eval, stops=at,
-    )
+    traj = disc_propagate(ctrl, cfg["initial_state"], (0.0, t_final),
+                          rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"], t_eval=t_eval)
 
     # contact-point shadow of an initial (phi, theta) uncertainty patch
     def shadow(du, dv, abcd):

@@ -65,9 +65,10 @@ def compute_skeleton(Phi, tol: float = 1e-8) -> Eigenskeleton:
     """Extract the conjugate eigenpair structure of Phi^T Phi.
 
     Raises NotSymplecticError when the symplecticity residual of Phi exceeds
-    tol.  Eigenvalues within a residual-scaled band of 1 are treated as one
-    degenerate unit block and paired greedily; everything else pairs a
-    lambda > 1 eigenvector with J times it.
+    tol, and ValueError when Phi^T Phi overflows.  Eigenvalues within a
+    residual-scaled band of 1 are treated as one degenerate unit block and
+    paired greedily; everything else pairs a lambda > 1 eigenvector with J
+    times it.
     """
     Phi = np.asarray(Phi, dtype=float)
     res = symplecticity_residual(Phi)
@@ -77,7 +78,10 @@ def compute_skeleton(Phi, tol: float = 1e-8) -> Eigenskeleton:
         )
     n = Phi.shape[0] // 2
     J = structure_matrix(n)
-    Psi = Phi.T @ Phi
+    with np.errstate(over="ignore", invalid="ignore"):
+        Psi = Phi.T @ Phi
+    if not np.isfinite(Psi).all():
+        raise ValueError(f"Phi^T Phi overflows (largest |Phi| entry {np.abs(Phi).max():.3e})")
     w, V = np.linalg.eigh(Psi)
 
     # a clean symplectic input splits the spectrum into reciprocal pairs and

@@ -8,9 +8,9 @@ swap-and-negate of the interleaved pairs), and the Heisenberg and
 rolling-disc cross-check STMs.  Two integrators are provided: an embedded
 Dormand-Prince 5(4) pair with PI step-size control for accuracy, and a
 fixed-step classical RK4 for byte-identical reproducibility.  rk45 steps end
-only on stop nodes; other samples come free from the pair's continuous
-extension.  Symplecticity drift of the STM is measured at every sample and
-recorded, never corrected.
+on every sample node, or dense on the last alone, the other samples then
+free from the pair's continuous extension.  Symplecticity drift of the STM
+is measured at every sample and recorded, never corrected.
 
 The steppers allocate their stage matrix and work vectors once per solve and
 update them in place (stage sums by np.dot(..., out=)), in the same
@@ -120,15 +120,10 @@ def _time_grid(t_span, samples, t_eval) -> np.ndarray:
 
 
 def _sample_nodes(grid, times):
-    """Forward sample nodes that hit every one of times exactly: the grid,
-    less each node but the first that lies nearer a time than the solvers'
-    smallest step there, merged with the times, sorted and distinct.
-    Returns the nodes and the index of each time among them."""
-    grid = np.asarray(grid, dtype=float)[:, None]
+    """The sorted distinct nodes of grid and times, and the index of each time
+    among them."""
     times = np.asarray(times, dtype=float)
-    near = np.abs(grid - times) < _MIN_STEP * np.maximum(np.minimum(grid, times), 1.0)
-    near[0] = False
-    nodes = np.unique(np.concatenate([grid[~near.any(axis=1), 0], times]))
+    nodes = np.unique(np.concatenate([np.asarray(grid, dtype=float), times]))
     return nodes, np.searchsorted(nodes, times)
 
 
@@ -156,25 +151,22 @@ def solve_ode_rk45(
     abs_tol: float = 1e-12,
     max_step: float = math.inf,
     max_steps: int = 10_000_000,
-    stops: Optional[Sequence[int]] = None,
+    dense: bool = False,
 ):
     """Integrate y' = f(t, y), sampling at the t_eval nodes.
 
     t_eval must be strictly monotone starting at t0; integration direction
-    follows the ordering (backward runs are allowed).  stops lists the
-    indices into t_eval that a step must end on exactly; the last node is
-    always one, and None makes every node one.  Each other node is filled
-    from the dense output of the accepted step that passes it, at no RHS
-    call.  Returns (Y, stats) where Y[i] is the solution at t_eval[i] and
+    follows the ordering (backward runs are allowed).  Steps end exactly on
+    every node, or with dense on the last node alone, each other node then
+    filled from the dense output of the accepted step that passes it, at no
+    RHS call.  Returns (Y, stats) where Y[i] is the solution at t_eval[i] and
     stats counts steps, rejections and RHS evaluations.  The y handed to f is
     a work buffer the solver overwrites later, so f must not keep a
     reference to it.
     """
     y0 = np.asarray(y0, dtype=float)
     nodes = _nodes(t0, t_eval)
-    stops = range(1, len(nodes)) if stops is None else sorted({*map(int, stops), len(nodes) - 1} - {0})
-    if not 0 < stops[0] <= stops[-1] < len(nodes):
-        raise ValueError("stops must be indices into t_eval")
+    last = len(nodes) - 1
     direction = 1.0 if nodes[1] > nodes[0] else -1.0
     span = abs(nodes[-1] - t0)
 
@@ -200,14 +192,13 @@ def solve_ode_rk45(
     err_prev = 1e-4
     n_steps = 0
     n_rejected = 0
-    n_stopped = 0
 
-    while next_eval < len(nodes):
+    while next_eval <= last:
         if n_steps + n_rejected >= max_steps:
             raise IntegrationError(f"step budget {max_steps} exhausted at t = {t}")
         # clamp the attempted step to land exactly on the next stop node
         h_attempt = min(h, max_step)
-        stop = stops[n_stopped]
+        stop = last if dense else next_eval
         target = nodes[stop]
         lands = abs(target - t) <= h_attempt * (1 + 1e-12)
         if lands:
@@ -255,7 +246,6 @@ def solve_ode_rk45(
             if lands:
                 out[stop] = y_new
                 next_eval = stop + 1
-                n_stopped += 1
             t = t_new
             y, y_new = y_new, y
             k[0] = k[6]
@@ -412,11 +402,11 @@ def _augmented_rhs(field, d: int):
     return rhs
 
 
-def _co_integrate(field, x0, t_eval, settings: IntegratorSettings, stops=None):
+def _co_integrate(field, x0, t_eval, settings: IntegratorSettings, dense=False):
     """Integrate x' = f(t, x) and its STM, Phi' = Df(t, x) Phi, from Phi = I.
 
     field is a callable (t, x) -> (f, Df) or, for a linear field x' = A x,
-    the constant (d, d) array A.  stops is handed to rk45 (see
+    the constant (d, d) array A.  dense is handed to rk45 (see
     solve_ode_rk45); rk4 lands on every node.
 
     Returns the states (m, d) and STMs (m, d, d) at the t_eval nodes, and
@@ -430,7 +420,7 @@ def _co_integrate(field, x0, t_eval, settings: IntegratorSettings, stops=None):
         Y, raw = solve_ode_rk45(
             rhs, t_eval[0], y0, t_eval,
             rel_tol=settings.rel_tol, abs_tol=settings.abs_tol,
-            max_step=settings.max_step, max_steps=settings.max_steps, stops=stops,
+            max_step=settings.max_step, max_steps=settings.max_steps, dense=dense,
         )
     else:
         Y, raw = solve_ode_rk4(
@@ -603,7 +593,7 @@ def propagate(
             if gap > 8 * sys.dim * (fi.eps * np.abs(field).max() * np.abs(x).max() + fi.smallest_subnormal):
                 raise ValueError(f"{sys.name!r} is marked quadratic, but J grad H(x) - J H x = {gap:.3e}")
     # rk45 lands on t1 alone and reads every other sample from its dense output
-    states, stms, raw = _co_integrate(field, state0.coords, t_eval, settings, stops=())
+    states, stms, raw = _co_integrate(field, state0.coords, t_eval, settings, dense=True)
 
     if sys.hamiltonian is not None:
         e0 = float(sys.hamiltonian(state0))

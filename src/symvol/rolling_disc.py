@@ -171,14 +171,12 @@ def disc_propagate(
     abs_tol: float = 1e-13,
     samples: int = 101,
     t_eval: Optional[Sequence[float]] = None,
-    stops: Optional[Sequence[int]] = None,
 ) -> DiscTrajectory:
     """Integrate the five state equations plus the six STM quadratures.
 
     ctrl is a callable (t, q) -> (u, v, w); q0 a DiscState or length-5 array.
-    It samples at t_eval, which must span t_span, or samples even steps.
-    stops are the indices into t_eval the solver lands on exactly (all of
-    them by default); the other samples come from its dense output.
+    It samples at t_eval, which must span t_span, or samples even steps; the
+    solver lands on the last sample and reads the others from its dense output.
     The theta-singularity guard aborts with a diagnostic if the trajectory
     approaches {0, pi}.
     """
@@ -198,7 +196,7 @@ def disc_propagate(
         return np.array([*qdot, m02, m12, m02 * E + m03, m12 * E + m13, m23, m43])
 
     y0 = np.concatenate([q0, np.zeros(6)])
-    Y, _ = solve_ode_rk45(rhs, float(t_eval[0]), y0, t_eval, rel_tol=rel_tol, abs_tol=abs_tol, stops=stops)
+    Y, _ = solve_ode_rk45(rhs, float(t_eval[0]), y0, t_eval, rel_tol=rel_tol, abs_tol=abs_tol, dense=True)
     return DiscTrajectory(t_eval, Y[:, :5], Y[:, 5:])
 
 

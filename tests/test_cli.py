@@ -242,6 +242,17 @@ class TestConfigErrors:
             ("invariants", {"system": "pendulum", "initial_state": [0, 1]}, "missing required field 't_span'"),
             ("invariants", {"system": "pendulum", "t_span": [0, 1]}, "missing required field 'initial_state'"),
             ("invariants", {"initial_state": [0, 1], "t_span": [0, 1]}, "missing required field 'system'"),
+            # a key the disc's control family or compliant loop does not read
+            *[
+                ("example", {"example": "disc", "control": control},
+                 f"unknown key at control: Additional properties are not allowed ({key!r} was unexpected)")
+                for control, key in [({"family": "constant", "u": 1, "u0": 1}, "u0"),
+                                     # a compliant disc computes its own third input
+                                     ({"family": "zero", "w": 5, "compliant": True}, "w")]
+            ],
+            # compliant is typed before a branch is picked, not reported as another family's key
+            ("example", {"example": "disc", "control": {"family": "zero", "compliant": "yes"}},
+             "control.compliant: 'yes' is not of type 'boolean'"),
         ],
     )
     def test_schema_messages(self, tmp_path, capsys, command, cfg, message):
@@ -702,6 +713,15 @@ class TestSkeleton:
         assert code == 5
         assert "not symplectic" in capsys.readouterr().err
 
+    def test_overflowing_gram_matrix_is_a_config_error(self, tmp_path):
+        # exactly symplectic (residual 0), but Phi^T Phi overflows: its NaN eigenvalues
+        # used to pass every pair count and fail later with a numpy message
+        cfg = write_config(tmp_path, {"stm": {"matrix": [[1e160, 0], [0, 1e-160]]}})
+        proc = subprocess.run([sys.executable, "-m", "symvol", "skeleton", "--config", cfg, "--out",
+                               str(tmp_path / "out")], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: Phi^T Phi overflows (largest |Phi| entry 1.000e+160)\n"
+
     def test_seed_reproducibility(self, tmp_path):
         cfg = {"stm": {"random_symplectic": {"n_pairs": 2}}}
         _, out1 = run(tmp_path, "skeleton", cfg, "--seed", "7")
@@ -1062,10 +1082,13 @@ class TestExample:
         assert {row.split(",")[0] for row in rows} == {"0.0089999999999999993"}
         assert float(rows[0].split(",")[0]) == 0.009
 
-    def test_disc_snapshot_next_to_the_start_is_an_integration_failure(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "example", {"example": "disc", "snapshot_times": [1e-17]})
-        assert code == 3
-        assert "step size underflow" in capsys.readouterr().err
+    def test_disc_snapshot_next_to_the_start_is_read_from_the_dense_output(self, tmp_path):
+        # the solver lands on t_final alone, so no step has to end at 1e-17
+        code, out = run(tmp_path, "example", {"example": "disc", "snapshot_times": [1e-17]})
+        assert code == 0
+        rows = (out / "disc_snapshots.csv").read_text().splitlines()[1:]
+        assert len(rows) == 81
+        assert {float(row.split(",")[0]) for row in rows} == {1e-17}
 
     def test_heisenberg_costs_share_the_final_time(self, tmp_path):
         code, out = run(
@@ -1110,10 +1133,10 @@ class TestExample:
         code, out = run(tmp_path, "example", disc)
         assert code == 0
         t_eval = np.unique(np.concatenate([np.linspace(0.0, 1.0, 11), times]))
-        # the snapshot times are the solver's stops, as the command makes them
+        # one dense run over the grid and the snapshot times, as the command makes it
         traj = disc_propagate(
             zero_projection_control(ctrl.u, ctrl.v), [0.0, 0.0, 0.0, 0.5 * math.pi, 0.0],
-            (0.0, 1.0), t_eval=t_eval, stops=np.searchsorted(t_eval, times),
+            (0.0, 1.0), t_eval=t_eval,
         )
         lines = ["t,u,v,dx,dy"]
         for t in times:

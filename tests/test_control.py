@@ -1,4 +1,8 @@
+import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from symvol import cli
 from symvol.heisenberg import (
     HeisenbergControl,
     bloch_control,
@@ -23,7 +28,7 @@ from symvol.heisenberg import (
     tabulated_control,
     zero_control,
 )
-from symvol.propagation import IntegrationError, solve_ode_rk45
+from symvol.propagation import IntegrationError, _sample_nodes, solve_ode_rk45
 from symvol.rolling_disc import (
     DiscSingularityError,
     DiscState,
@@ -336,9 +341,10 @@ def ref_coefficient_matrix(q, u, w):
     return M
 
 
-def ref_disc_propagate(ctrl, q0, t_span, rel_tol=1e-11, abs_tol=1e-13, samples=101, t_eval=None):
+def ref_disc_propagate(ctrl, q0, t_span, rel_tol=1e-11, abs_tol=1e-13, samples=101, t_eval=None, dense=True):
     """disc_propagate with its own inline 11-component RHS, as it stood
-    before the state equations and quadrature rates shared one function."""
+    before the state equations and quadrature rates shared one function;
+    not dense, it lands on every node."""
     q0 = np.asarray(q0, dtype=float)
     _guard_theta(q0[3], float(t_span[0]))
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -366,7 +372,8 @@ def ref_disc_propagate(ctrl, q0, t_span, rel_tol=1e-11, abs_tol=1e-13, samples=1
         )
 
     y0 = np.concatenate([q0, np.zeros(6)])
-    Y, _ = solve_ode_rk45(rhs, t0, y0, np.asarray(t_eval, dtype=float), rel_tol=rel_tol, abs_tol=abs_tol)
+    Y, _ = solve_ode_rk45(rhs, t0, y0, np.asarray(t_eval, dtype=float), rel_tol=rel_tol, abs_tol=abs_tol,
+                          dense=dense)
     return Y[:, :5], Y[:, 5:]
 
 
@@ -437,6 +444,66 @@ class TestDiscMatchesReference:
         assert new == ref
         # one control evaluation per RHS evaluation, as in the reference
         assert new_ctrl.calls == ref_ctrl.calls
+
+
+@st.composite
+def _disc_snapshot_runs(draw):
+    """A disc example's Fourier control, compliant or open loop, its t_final
+    and snapshot times, unsorted: 0, 1e-17, t_final and the float below it,
+    interior times, and repeats."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    harmonics = draw(st.integers(1, 3))
+    control = {"family": "fourier", "u0": rng.uniform(-1.0, 1.0), "v0": rng.uniform(-0.1, 0.1),
+               **{k: rng.uniform(-0.3, 0.3, harmonics).tolist() for k in ("u_cos", "u_sin")},
+               **{k: rng.uniform(-0.05, 0.05, harmonics).tolist() for k in ("v_cos", "v_sin")}}
+    if draw(st.booleans()):
+        control["compliant"] = True
+    else:
+        control["w"] = rng.uniform(-1.0, 1.0)
+    t_final = draw(st.sampled_from([0.5, 1.0, 2.0, 3.7]))
+    times = [0.0, 1e-17, t_final, math.nextafter(t_final, 0.0)]
+    times += draw(st.lists(st.floats(0.0, t_final), max_size=3))
+    times += draw(st.lists(st.sampled_from(times), max_size=3))
+    return control, t_final, draw(st.permutations(times))
+
+
+class TestDiscDenseSnapshots:
+    """Snapshot times any distance from a grid node or each other are read
+    from the dense output, near the run that lands on every node."""
+
+    @given(case=_disc_snapshot_runs())
+    @settings(max_examples=25, deadline=None)
+    def test_snapshots_next_to_nodes(self, case):
+        control, t_final, times = case
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            cli, "disc_propagate", wraps=disc_propagate
+        ) as spy:
+            cfg = Path(tmp) / "disc.json"
+            cfg.write_text(json.dumps({"example": "disc", "control": control, "t_final": t_final,
+                                       "snapshot_times": times, "snapshot_cells": [1, 1]}))
+            assert cli.main(["example", "--config", str(cfg), "--out", tmp]) == 0
+            rows = (Path(tmp) / "disc_snapshots.csv").read_text().splitlines()[1:]
+        # every snapshot, in order, with its 2 x 2 patch nodes; the run reaches t_final
+        assert [float(row.split(",")[0]) for row in rows] == [t for t in times for _ in range(4)]
+        assert spy.call_args.kwargs["t_eval"][-1] == t_final
+
+        heis = fourier_control(*(control[k] for k in ("u0", "u_cos", "u_sin", "v0", "v_cos", "v_sin")))
+        w = control.get("w")
+        ctrl = zero_projection_control(heis.u, heis.v) if w is None else open_loop_control(
+            heis.u, heis.v, lambda t: w)
+        q0, grid = [0.0, 0.0, 0.0, 0.5 * math.pi, 0.0], np.linspace(0.0, t_final, 101)
+        t_eval, at = _sample_nodes(grid, times)
+        dense = disc_propagate(ctrl, q0, (0.0, t_final), t_eval=t_eval).integrals[at]
+        # the landing run steps between nodes, so each time within 64 ulp of another
+        # node is read at that node: the quadratures move by under 1e-12 there
+        nodes = list(grid)
+        for t in sorted(set(times)):
+            if min(abs(t - node) for node in nodes) >= 64 * np.finfo(float).eps * max(1.0, t):
+                nodes.append(t)
+        nodes = np.array(sorted(nodes))
+        _, landed = ref_disc_propagate(ctrl, q0, (0.0, t_final), t_eval=nodes, dense=False)
+        landed = landed[np.abs(nodes[:, None] - times).argmin(axis=0)]
+        assert np.all(np.abs(dense - landed) <= 10 * 1e-11 * np.maximum(1.0, np.abs(landed)))
 
 
 def ref_co_integrate(f, jac, x0, t_eval, rel_tol, abs_tol):

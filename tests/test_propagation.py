@@ -770,22 +770,22 @@ def _landed_and_dense(sys, x0, t_span, samples, rel_tol):
 
 
 class TestDenseOutput:
-    """rk45 lands on its stop nodes and fills every other sample from the
-    continuous extension of the step passing it."""
+    """rk45 lands on every node or, dense, on the last alone and fills every
+    other sample from the continuous extension of the step passing it."""
 
     @given(
         problem=_problems(),
-        picks=st.lists(st.integers(0, 6), max_size=7),
+        dense=st.booleans(),
         rel_tol=st.sampled_from([1e-6, 1e-9]),
         max_step=st.sampled_from([math.inf, 0.3, 0.05]),
         nan_at=st.one_of(st.none(), st.integers(2, 80)),
     )
     @settings(max_examples=120, deadline=None)
-    def test_matches_the_allocating_reference(self, problem, picks, rel_tol, max_step, nan_at):
+    def test_matches_the_allocating_reference(self, problem, dense, rel_tol, max_step, nan_at):
         seed, m, linear, y0, t0, t_eval = problem
-        stops = [i for i in picks if i < t_eval.size]
+        stops = () if dense else range(t_eval.size)
         kwargs = dict(rel_tol=rel_tol, abs_tol=1e-3 * rel_tol, max_step=max_step, max_steps=20_000)
-        new = _outcome(solve_ode_rk45, _Field(seed, m, linear, nan_at), t0, y0, t_eval, stops=stops, **kwargs)
+        new = _outcome(solve_ode_rk45, _Field(seed, m, linear, nan_at), t0, y0, t_eval, dense=dense, **kwargs)
         ref = _outcome(ref_solve_ode_rk45_dense, _Field(seed, m, linear, nan_at), t0, y0, t_eval, stops,
                        **kwargs)
         assert new == ref
@@ -795,7 +795,7 @@ class TestDenseOutput:
     def test_every_node_a_stop_is_the_default(self, problem):
         seed, m, linear, y0, t0, t_eval = problem
         default = _outcome(solve_ode_rk45, _Field(seed, m, linear), t0, y0, t_eval)
-        every = _outcome(solve_ode_rk45, _Field(seed, m, linear), t0, y0, t_eval, stops=range(t_eval.size))
+        every = _outcome(solve_ode_rk45, _Field(seed, m, linear), t0, y0, t_eval, dense=False)
         assert default == every
 
     @pytest.mark.parametrize(
@@ -818,10 +818,6 @@ class TestDenseOutput:
         assert dense.stats.steps == sparse.stats.steps
         assert dense.states[-1].tobytes() == sparse.states[-1].tobytes()
 
-    def test_bad_stops(self):
-        with pytest.raises(ValueError, match="stops must be indices into t_eval"):
-            solve_ode_rk45(lambda t, y: -y, 0.0, np.array([1.0]), np.array([0.0, 1.0]), stops=[2])
-
     def test_dense_disc_makes_fewer_rhs_calls_than_samples(self):
         # the case-study disc: a compliant Fourier control over t 0-2 on 2001
         # samples; landing on every node made about 12 600 RHS calls
@@ -833,25 +829,16 @@ class TestDenseOutput:
             return base(t, q)
 
         base = zero_projection_control(heis.u, heis.v)
-        t_eval, at = _sample_nodes(np.linspace(0.0, 2.0, 2001), [0.0, 1.0, 2.0])
-        traj = disc_propagate(ctrl, [0.0, 0.0, 0.0, 1.2, 0.0], (0.0, 2.0), t_eval=t_eval, stops=at)
+        traj = disc_propagate(ctrl, [0.0, 0.0, 0.0, 1.2, 0.0], (0.0, 2.0), samples=2001)
         assert calls[0] < 2000
         A, B, C, D = traj.integrals[:, :4].T
         assert np.max(np.abs(A * D - B * C)) <= 1e-10
 
 
-def _ref_disc_nodes(grid, times):
-    """The disc example's snapshot-node merge before _sample_nodes, verbatim."""
-    grid = grid[:, None]
-    near = np.abs(grid - times) < _REF_MIN_STEP * np.maximum(np.minimum(grid, times), 1.0)
-    near[0] = False
-    t_eval = np.unique(np.concatenate([grid[~near.any(axis=1), 0], times]))
-    return t_eval, np.searchsorted(t_eval, times)
-
-
-def _ref_moment_nodes(times):
-    """heisenberg.moments' node merge before _sample_nodes, verbatim."""
-    nodes = np.unique(np.append(times, 0.0))
+def _ref_merge(grid, times):
+    """heisenberg.moments' node merge before _sample_nodes, on any grid: the
+    sorted distinct grid nodes and times."""
+    nodes = np.unique(np.append(times, grid))
     return nodes, np.searchsorted(nodes, times)
 
 
@@ -881,16 +868,16 @@ def _grids_and_times(draw):
 
 
 class TestSampleNodes:
-    """_sample_nodes gives the nodes and indices of both inline merges it
-    replaced, bit for bit, and every time is a node."""
+    """_sample_nodes gives the nodes and indices of the plain merge, bit for
+    bit, on the disc's grids and on moments' [0], and every time is a node."""
 
     @given(case=_grids_and_times())
     @settings(max_examples=300, deadline=None)
     def test_matches_both_references(self, case):
         grid, times = case
         for g, (nodes, index), (ref_nodes, ref_index) in (
-            (grid, _sample_nodes(grid, times), _ref_disc_nodes(grid, times)),
-            ([0.0], _sample_nodes([0.0], times), _ref_moment_nodes(times)),
+            (grid, _sample_nodes(grid, times), _ref_merge(grid, times)),
+            ([0.0], _sample_nodes([0.0], times), _ref_merge([0.0], times)),
         ):
             assert nodes.tobytes() == ref_nodes.tobytes()
             assert index.tobytes() == ref_index.tobytes()
@@ -898,11 +885,12 @@ class TestSampleNodes:
             assert np.all(np.diff(nodes) > 0)
             assert nodes[0] == g[0]
 
-    def test_drops_a_grid_node_nearer_a_time_than_the_smallest_step(self):
+    def test_keeps_a_grid_node_an_ulp_from_a_time(self):
+        # dense runs land on the last node alone, so nodes may lie any distance apart
         grid = np.linspace(0.0, 2.0, 5)
         nodes, index = _sample_nodes(grid, [np.nextafter(1.0, 2.0), 0.0])
-        assert nodes.tolist() == [0.0, 0.5, np.nextafter(1.0, 2.0), 1.5, 2.0]
-        assert index.tolist() == [2, 0]
+        assert nodes.tolist() == [0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 1.5, 2.0]
+        assert index.tolist() == [3, 0]
 
 
 _EPS = float(np.finfo(float).eps)
