@@ -275,7 +275,8 @@ def _schema_error(value, schema, path=""):
     Covers the JSON Schema 2020-12 keywords the schemas above use: type, enum,
     minimum, exclusiveMinimum, minItems, maxItems, items, required, properties,
     additionalProperties (false) and oneOf (default only annotates).
-    path is the dotted instance path.
+    path is the dotted instance path.  Unlike jsonschema, a NaN (which json
+    reads) fails minimum and exclusiveMinimum, as it fails every comparison.
     """
     at = path or "config"
     if "type" in schema and not _has_type(value, schema["type"]):
@@ -283,9 +284,9 @@ def _schema_error(value, schema, path=""):
     if "enum" in schema and value not in schema["enum"]:
         return f"{at}: {value!r} is not one of {schema['enum']!r}"
     if _has_type(value, "number"):
-        if "minimum" in schema and value < schema["minimum"]:
+        if "minimum" in schema and not value >= schema["minimum"]:
             return f"{at}: {value!r} is less than the minimum of {schema['minimum']!r}"
-        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+        if "exclusiveMinimum" in schema and not value > schema["exclusiveMinimum"]:
             bound = schema["exclusiveMinimum"]
             return f"{at}: {value!r} is less than or equal to the minimum of {bound!r}"
     if isinstance(value, list):
@@ -340,8 +341,8 @@ def _shape(branch) -> dict:
     return {"properties": enums} if enums else {k: branch[k] for k in ("type", "required") if k in branch}
 
 
-def _validate_config(cfg, schema) -> None:
-    err = _schema_error(cfg, schema)
+def _validate_config(cfg, schema, path="") -> None:
+    err = _schema_error(cfg, schema, path)
     if err is not None:
         raise ConfigError(err)
 
@@ -359,14 +360,17 @@ def _with_defaults(value, schema):
 
 def _resolve(cfg, schema, tol_override) -> dict:
     """cfg, valid under schema, with every default filled in and tol_override,
-    if given, as its tolerance."""
+    if given, as its tolerance, checked as the config's tolerance is."""
     cfg = _with_defaults(cfg, schema)
     if "surface" in cfg:
         cfg.setdefault("target_pair", cfg["surface"]["pair"])
     if "example" in cfg:
         cfg.setdefault("snapshot_times", [0.0, 0.5 * cfg["t_final"], cfg["t_final"]])
     if "tolerance" in cfg:
-        cfg["tolerance"] = float(cfg["tolerance"] if tol_override is None else tol_override)
+        if tol_override is not None:
+            _validate_config(tol_override, _TOLERANCE, "tolerance")
+            cfg["tolerance"] = tol_override
+        cfg["tolerance"] = float(cfg["tolerance"])
     return cfg
 
 

@@ -145,8 +145,8 @@ def moments(ctrl: HeisenbergControl, t, rel_tol: float = 1e-12) -> Moments | lis
     """Integrate the moment functionals mu, nu, alpha from 0 to t, one time or
     a sequence of times, each >= 0 (else ValueError).  A sequence gets one
     Moments per entry, in its order, from a single integration over the sorted
-    distinct nodes {0} and t; nodes nearer each other than the integrator's
-    smallest step fail with an IntegrationError (step size underflow)."""
+    distinct nodes {0} and t: steps end on the largest time, and every other
+    time is read from the dense output."""
     times = np.asarray(t, dtype=float).ravel() + 0.0  # + 0.0 turns -0.0 into 0.0
     if not np.all(times >= 0.0):
         raise ValueError(f"moment times must be >= 0, got {t}")
@@ -225,10 +225,7 @@ def heisenberg_cost_quadrature(ctrl: HeisenbergControl, n_nodes: int = 16, rel_t
 def _cost_quadrature(m: Moments, n_nodes: int) -> float:
     from numpy.polynomial.legendre import leggauss  # deferred: slow to import
     nodes, weights = leggauss(n_nodes)
-    total = 0.0
-    for X, wx in zip(nodes, weights):
-        for Y, wy in zip(nodes, weights):
-            x, y, z = flow_from_moments(X, Y, m)
-            g = heisenberg_metric_g(X, Y, x, y)
-            total += wx * wy * (x * x + y * y + (1.0 - z) ** 2) * g
-    return total
+    X, Y = nodes[:, None], nodes[None, :]  # the (X, Y) grid by broadcasting
+    x, y, z = flow_from_moments(X, Y, m)
+    g = heisenberg_metric_g(X, Y, x, y)
+    return float(np.sum(weights[:, None] * weights * (x * x + y * y + (1.0 - z) ** 2) * g))

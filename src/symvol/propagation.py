@@ -8,9 +8,9 @@ swap-and-negate of the interleaved pairs), and the Heisenberg and
 rolling-disc cross-check STMs.  Two integrators are provided: an embedded
 Dormand-Prince 5(4) pair with PI step-size control for accuracy, and a
 fixed-step classical RK4 for byte-identical reproducibility.  rk45 steps end
-on every sample node, or dense on the last alone, the other samples then
-free from the pair's continuous extension.  Symplecticity drift of the STM
-is measured at every sample and recorded, never corrected.
+on the last sample node alone and read every other sample free from the
+pair's continuous extension; rk4 steps end on every node.  Symplecticity
+drift of the STM is measured at every sample and recorded, never corrected.
 
 The steppers allocate their stage matrix and work vectors once per solve and
 update them in place (stage sums by np.dot(..., out=)), in the same
@@ -151,24 +151,22 @@ def solve_ode_rk45(
     abs_tol: float = 1e-12,
     max_step: float = math.inf,
     max_steps: int = 10_000_000,
-    dense: bool = False,
 ):
     """Integrate y' = f(t, y), sampling at the t_eval nodes.
 
     t_eval must be strictly monotone starting at t0; integration direction
     follows the ordering (backward runs are allowed).  Steps end exactly on
-    every node, or with dense on the last node alone, each other node then
-    filled from the dense output of the accepted step that passes it, at no
-    RHS call.  Returns (Y, stats) where Y[i] is the solution at t_eval[i] and
-    stats counts steps, rejections and RHS evaluations.  The y handed to f is
-    a work buffer the solver overwrites later, so f must not keep a
-    reference to it.
+    the last node alone; every other node is filled from the dense output of
+    the accepted step that passes it, at no RHS call.  Returns (Y, stats)
+    where Y[i] is the solution at t_eval[i] and stats counts steps,
+    rejections and RHS evaluations.  The y handed to f is a work buffer the
+    solver overwrites later, so f must not keep a reference to it.
     """
     y0 = np.asarray(y0, dtype=float)
     nodes = _nodes(t0, t_eval)
-    last = len(nodes) - 1
+    last, target = len(nodes) - 1, nodes[-1]
     direction = 1.0 if nodes[1] > nodes[0] else -1.0
-    span = abs(nodes[-1] - t0)
+    span = abs(target - t0)
 
     m = y0.size
     out = np.empty((len(nodes), m))
@@ -193,13 +191,11 @@ def solve_ode_rk45(
     n_steps = 0
     n_rejected = 0
 
-    while next_eval <= last:
+    while t != target:
         if n_steps + n_rejected >= max_steps:
             raise IntegrationError(f"step budget {max_steps} exhausted at t = {t}")
-        # clamp the attempted step to land exactly on the next stop node
+        # clamp the attempted step to land exactly on the last node
         h_attempt = min(h, max_step)
-        stop = last if dense else next_eval
-        target = nodes[stop]
         lands = abs(target - t) <= h_attempt * (1 + 1e-12)
         if lands:
             h_attempt = abs(target - t)
@@ -236,16 +232,13 @@ def solve_ode_rk45(
 
         if err <= 1.0:
             t_new = target if lands else t + hs
-            # y + hs * (_P theta-powers) k at each node the step passes short of the stop
-            while next_eval < stop and direction * (nodes[next_eval] - t_new) < 0:
+            # y + hs * (_P theta-powers) k at each node the step passes short of the last
+            while next_eval < last and direction * (nodes[next_eval] - t_new) < 0:
                 theta, row = (nodes[next_eval] - t) / hs, out[next_eval]
                 np.dot(np.dot(_P, (theta, theta**2, theta**3, theta**4)), k, out=row)
                 row *= hs
                 row += y
                 next_eval += 1
-            if lands:
-                out[stop] = y_new
-                next_eval = stop + 1
             t = t_new
             y, y_new = y_new, y
             k[0] = k[6]
@@ -265,6 +258,7 @@ def solve_ode_rk45(
                 factor = max(_FAC_MIN, _SAFETY * err ** (-0.2))
                 h = h_attempt * min(1.0, factor)
 
+    out[last] = y
     stats = {"steps": n_steps, "rejected": n_rejected, "rhs_evals": n_rhs}
     return out, stats
 
@@ -402,12 +396,12 @@ def _augmented_rhs(field, d: int):
     return rhs
 
 
-def _co_integrate(field, x0, t_eval, settings: IntegratorSettings, dense=False):
+def _co_integrate(field, x0, t_eval, settings: IntegratorSettings):
     """Integrate x' = f(t, x) and its STM, Phi' = Df(t, x) Phi, from Phi = I.
 
     field is a callable (t, x) -> (f, Df) or, for a linear field x' = A x,
-    the constant (d, d) array A.  dense is handed to rk45 (see
-    solve_ode_rk45); rk4 lands on every node.
+    the constant (d, d) array A.  rk45 lands on the last node alone, rk4 on
+    every node (see solve_ode_rk45).
 
     Returns the states (m, d) and STMs (m, d, d) at the t_eval nodes, and
     the raw integrator counters.
@@ -420,7 +414,7 @@ def _co_integrate(field, x0, t_eval, settings: IntegratorSettings, dense=False):
         Y, raw = solve_ode_rk45(
             rhs, t_eval[0], y0, t_eval,
             rel_tol=settings.rel_tol, abs_tol=settings.abs_tol,
-            max_step=settings.max_step, max_steps=settings.max_steps, dense=dense,
+            max_step=settings.max_step, max_steps=settings.max_steps,
         )
     else:
         Y, raw = solve_ode_rk4(
@@ -592,8 +586,7 @@ def propagate(
             gap = np.max(np.abs(f - (field * x).sum(1)))
             if gap > 8 * sys.dim * (fi.eps * np.abs(field).max() * np.abs(x).max() + fi.smallest_subnormal):
                 raise ValueError(f"{sys.name!r} is marked quadratic, but J grad H(x) - J H x = {gap:.3e}")
-    # rk45 lands on t1 alone and reads every other sample from its dense output
-    states, stms, raw = _co_integrate(field, state0.coords, t_eval, settings, dense=True)
+    states, stms, raw = _co_integrate(field, state0.coords, t_eval, settings)
 
     if sys.hamiltonian is not None:
         e0 = float(sys.hamiltonian(state0))

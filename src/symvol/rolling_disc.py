@@ -196,7 +196,7 @@ def disc_propagate(
         return np.array([*qdot, m02, m12, m02 * E + m03, m12 * E + m13, m23, m43])
 
     y0 = np.concatenate([q0, np.zeros(6)])
-    Y, _ = solve_ode_rk45(rhs, float(t_eval[0]), y0, t_eval, rel_tol=rel_tol, abs_tol=abs_tol, dense=True)
+    Y, _ = solve_ode_rk45(rhs, float(t_eval[0]), y0, t_eval, rel_tol=rel_tol, abs_tol=abs_tol)
     return DiscTrajectory(t_eval, Y[:, :5], Y[:, 5:])
 
 

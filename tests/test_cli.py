@@ -265,11 +265,28 @@ class TestConfigErrors:
          ("max_step", math.nan)],
     )
     def test_nonfinite_integrator_setting(self, tmp_path, capsys, key, value):
-        # json reads NaN and Infinity, and exclusiveMinimum lets NaN through;
-        # a NaN tolerance used to spin the solver through its step budget
+        # json reads NaN and Infinity; a NaN tolerance used to spin the solver
+        # through its step budget.  The schema refuses NaN, IntegratorSettings
+        # an infinite budget
         cfg = {**_PROPAGATE, "integrator": {key: value, "max_steps": 5000}}
         assert run(tmp_path, "propagate", cfg)[0] == 2
-        assert f"config error: {key} must be" in capsys.readouterr().err
+        message = (f"integrator.{key}: nan is less than or equal to the minimum of 0\n" if math.isnan(value)
+                   else f"{key} must be")
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan])
+    @pytest.mark.parametrize("command", ["invariants", "skeleton", "surface"])
+    def test_tol_override_is_checked_as_the_tolerance_key(self, tmp_path, capsys, command, value):
+        # an override of -1 used to exit 4 or 5, and a NaN one turned every gate off
+        stm = {"matrix": np.eye(2).tolist()}
+        cfg = {"invariants": {"system": "pendulum", "initial_state": [0.0, 1.5], "t_span": [0.0, 5.0]},
+               "skeleton": {"stm": stm},
+               "surface": {"stm": stm, "surface": {"type": "lamina", "n_pairs": 1, "cells": [4, 4]}}}[command]
+        message = f"config error: tolerance: {value!r} is less than or equal to the minimum of 0\n"
+        assert run(tmp_path, command, {**cfg, "tolerance": value})[0] == 2
+        assert capsys.readouterr().err == message
+        assert run(tmp_path, command, cfg, "--tol-override", str(value))[0] == 2
+        assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("command", ["skeleton", "surface"])
     @pytest.mark.parametrize("sample", [99, -99])
@@ -1157,14 +1174,15 @@ class TestExample:
         assert "snapshot_times must lie inside [0, t_final]" in capsys.readouterr().err
         assert not (out / "heisenberg_summary.json").exists()
 
-    def test_heisenberg_snapshot_an_ulp_from_another_node_is_an_integration_failure(
-        self, tmp_path, capsys
-    ):
-        # one ulp below t_final: too close to step between in the one integration
-        cfg = {"example": "heisenberg", "t_final": 1.0, "snapshot_times": [math.nextafter(1.0, 0.0)]}
-        code, _ = run(tmp_path, "example", cfg)
-        assert code == 3
-        assert "step size underflow" in capsys.readouterr().err
+    def test_heisenberg_snapshot_an_ulp_from_another_node_succeeds(self, tmp_path):
+        # steps end on t_final alone, so none has to end one ulp below it
+        below = math.nextafter(1.0, 0.0)
+        cfg = {"example": "heisenberg", "t_final": 1.0, "snapshot_times": [below]}
+        code, out = run(tmp_path, "example", cfg)
+        assert code == 0
+        rows = (out / "heisenberg_snapshots.csv").read_text().splitlines()[1:]
+        assert len(rows) == 81
+        assert {float(row.split(",")[0]) for row in rows} == {below}
 
     def test_heisenberg_makes_one_integration(self, tmp_path, monkeypatch):
         calls = []

@@ -1,6 +1,7 @@
 """The in-tree config validator against jsonschema's Draft 2020-12 validator."""
 
 import copy
+import math
 
 import pytest
 from hypothesis import assume, given, settings
@@ -117,6 +118,15 @@ def test_verdicts_match_jsonschema(command, data):
     assert accepted == strict(schema).is_valid(cfg)
     if accepted != base(schema).is_valid(cfg):
         assert not accepted and _holds_integral_float(cfg)
+
+
+def test_nan_is_refused_at_every_bounded_number():
+    # json reads NaN, which jsonschema's minimum and exclusiveMinimum let through
+    bounded = [sub for schema in _SCHEMAS.values() for sub in _subschemas(schema)
+               if sub.get("type") == "number" and {"minimum", "exclusiveMinimum"} & set(sub)]
+    assert bounded
+    for sub in bounded:
+        assert "nan is less than" in _schema_error(math.nan, sub), sub
 
 
 def test_every_default_conforms_to_its_property():
