@@ -140,14 +140,16 @@ _STM_SOURCE = {
     ]
 }
 
-# what invariants reads to propagate first
+# what propagate reads, and invariants to propagate first, beside its sample times
+_RUN_KEYS = ["system", "initial_state", "t_span"]
 _RUN = dict(
     system=_SYSTEM,
     initial_state={**_NUMBER_ARRAY, "minItems": 2},
     t_span=_SPAN,
-    samples={"type": "integer", "minimum": 2, "default": 100},
     integrator={**_INTEGRATOR, "default": {}},
 )
+_SAMPLES = {"type": "integer", "minimum": 2, "default": 100}
+_TRAJECTORY_OUTPUT = {"type": "string", "default": "trajectory"}
 # what invariants reads of either source
 _REPORT = dict(
     # [] stands for every proper split
@@ -199,15 +201,15 @@ _PATCH = dict(
 )
 
 _SCHEMAS = {
-    "propagate": _object(
-        ["system", "initial_state", "t_span"],
-        **_RUN,
-        t_eval={**_NUMBER_ARRAY, "minItems": 2},
-        output={"type": "string", "default": "trajectory"},
-    ),
+    # equally spaced samples, or the given times
+    "propagate": {"oneOf": [
+        _object(_RUN_KEYS, **_RUN, samples=_SAMPLES, output=_TRAJECTORY_OUTPUT),
+        _object([*_RUN_KEYS, "t_eval"], **_RUN, t_eval={**_NUMBER_ARRAY, "minItems": 2},
+                output=_TRAJECTORY_OUTPUT),
+    ]},
     "invariants": {"oneOf": [
         _object(["trajectory"], trajectory={"type": "string"}, **_REPORT),
-        _object(["system", "initial_state", "t_span"], **_RUN, **_REPORT),
+        _object(_RUN_KEYS, **_RUN, samples=_SAMPLES, **_REPORT),
     ]},
     "skeleton": _object(
         ["stm"],
@@ -275,8 +277,9 @@ def _schema_error(value, schema, path=""):
     Covers the JSON Schema 2020-12 keywords the schemas above use: type, enum,
     minimum, exclusiveMinimum, minItems, maxItems, items, required, properties,
     additionalProperties (false) and oneOf (default only annotates).
-    path is the dotted instance path.  Unlike jsonschema, a NaN (which json
-    reads) fails minimum and exclusiveMinimum, as it fails every comparison.
+    path is the dotted instance path.  Unlike jsonschema, a number must be
+    finite: a NaN (which json reads) fails minimum and exclusiveMinimum, as it
+    fails every comparison, and an infinity or unbounded NaN is not finite.
     """
     at = path or "config"
     if "type" in schema and not _has_type(value, schema["type"]):
@@ -289,6 +292,8 @@ def _schema_error(value, schema, path=""):
         if "exclusiveMinimum" in schema and not value > schema["exclusiveMinimum"]:
             bound = schema["exclusiveMinimum"]
             return f"{at}: {value!r} is less than or equal to the minimum of {bound!r}"
+        if isinstance(value, float) and not math.isfinite(value):
+            return f"{at}: {value!r} is not a finite number"
     if isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
             return f"{at}: {value!r} is too short"
@@ -366,10 +371,10 @@ def _resolve(cfg, schema, tol_override) -> dict:
         cfg.setdefault("target_pair", cfg["surface"]["pair"])
     if "example" in cfg:
         cfg.setdefault("snapshot_times", [0.0, 0.5 * cfg["t_final"], cfg["t_final"]])
+    if tol_override is not None:
+        _validate_config(tol_override, _TOLERANCE, "tolerance")
+        cfg["tolerance"] = tol_override
     if "tolerance" in cfg:
-        if tol_override is not None:
-            _validate_config(tol_override, _TOLERANCE, "tolerance")
-            cfg["tolerance"] = tol_override
         cfg["tolerance"] = float(cfg["tolerance"])
     return cfg
 
@@ -409,8 +414,7 @@ def _run_propagation(cfg):
         np.asarray(cfg["initial_state"], dtype=float),
         tuple(cfg["t_span"]),
         IntegratorSettings(**cfg["integrator"]),
-        samples=cfg["samples"],
-        t_eval=cfg.get("t_eval"),
+        **{key: cfg[key] for key in ("samples", "t_eval") if key in cfg},
     )
 
 
@@ -780,24 +784,20 @@ _COMMANDS = {
 }
 
 
+_FLAGS = {
+    "--config": dict(required=True, help="path to the JSON run config"),
+    "--out": dict(default=".", help="output directory (created if absent)"),
+    "--tol-override": dict(type=float, help="override the config's violation tolerance"),
+    "--seed": dict(type=int, default=0, help="seed for a random_symplectic stm"),
+    "--format": dict(choices=("csv", "json"), default="csv", help="trajectory file format"),
+}
+# the flags each subcommand reads beside --config and --out
+_COMMAND_FLAGS = {"propagate": ["--format"], "invariants": ["--tol-override"],
+                  "skeleton": ["--tol-override", "--seed"], "surface": ["--tol-override", "--seed"], "example": []}
+
+
 @functools.cache  # one parser per process: building it costs more than a short command
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="path to the JSON run config")
-    common.add_argument("--out", default=".", help="output directory (created if absent)")
-    common.add_argument(
-        "--tol-override",
-        type=float,
-        default=None,
-        help="override the config's violation tolerance",
-    )
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized sources")
-    common.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default="csv",
-        help="bulk artifact format where a choice applies",
-    )
     parser = argparse.ArgumentParser(
         prog="symvol",
         description="Symplectic subvolume toolkit: propagation, invariants, "
@@ -805,7 +805,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=fn.__doc__)
+        command = sub.add_parser(name, help=fn.__doc__)
+        for flag in ["--config", "--out", *_COMMAND_FLAGS[name]]:
+            command.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -815,13 +817,10 @@ def main(argv=None) -> int:
         schema = _SCHEMAS[args.command]
         cfg = _load_config(args.config)
         _validate_config(cfg, schema)
-        cfg = _resolve(cfg, schema, args.tol_override)
+        cfg = _resolve(cfg, schema, getattr(args, "tol_override", None))
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, args, outdir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NotSymplecticError as exc:
         print(f"input not symplectic: {exc}", file=sys.stderr)
         return EXIT_NOT_SYMPLECTIC
@@ -831,7 +830,7 @@ def main(argv=None) -> int:
     except IntegrationError as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # a ConfigError among them
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -82,7 +82,7 @@ _PI_BETA = 0.4 / 5.0
 _SAFETY = 0.9
 _FAC_MIN = 0.2
 _FAC_MAX = 10.0
-# smallest step, relative to max(|t|, 1), before the solver reports underflow
+# smallest step short of the last node, relative to max(|t|, 1), before the solver reports underflow
 _MIN_STEP = 16.0 * float(np.finfo(float).eps)
 
 
@@ -194,12 +194,12 @@ def solve_ode_rk45(
     while t != target:
         if n_steps + n_rejected >= max_steps:
             raise IntegrationError(f"step budget {max_steps} exhausted at t = {t}")
-        # clamp the attempted step to land exactly on the last node
+        # clamp the attempted step to land exactly on the last node; only a step short of it underflows
         h_attempt = min(h, max_step)
         lands = abs(target - t) <= h_attempt * (1 + 1e-12)
         if lands:
             h_attempt = abs(target - t)
-        if h_attempt < _MIN_STEP * max(abs(t), 1.0):
+        if not lands and h_attempt < _MIN_STEP * max(abs(t), 1.0):
             raise IntegrationError(f"step size underflow at t = {t}")
 
         # y + hs * (A_i k[:i]) in place; a non-finite stage rejects the step

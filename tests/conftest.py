@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from symvol import SurfaceParam
 
@@ -30,6 +31,29 @@ def squeeze_rotate(theta: float = math.pi / 4) -> np.ndarray:
     expansion factor 1.25 on both sides of the {1}|{2} split at theta = pi/4."""
     S = np.diag([2.0, 0.5, 1.0, 1.0])
     return S @ equal_rotation(theta)
+
+
+def orthosymplectic(rng: np.random.Generator, n_pairs: int) -> np.ndarray:
+    """[[A, -B], [B, A]] of a random unitary A + iB, in the interleaved order
+    (p_1, q_1, p_2, ...): orthogonal and symplectic."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n_pairs, n_pairs)) + 1j * rng.standard_normal((n_pairs, n_pairs)))
+    Q = 1.5 * Q - 0.5 * Q @ (Q.conj().T @ Q)  # a Newton step toward unitary, to a few ulps
+    M = np.block([[Q.real, -Q.imag], [Q.imag, Q.real]])
+    order = np.arange(2 * n_pairs).reshape(2, n_pairs).T.ravel()  # p_i, q_i are block rows i, n + i
+    return M[np.ix_(order, order)]
+
+
+@st.composite
+def squeezed_symplectic(draw, max_pairs: int = 6) -> np.ndarray:
+    """U diag(s, 1/s, 1, ..., 1) V for orthosymplectic U and V, n from 1 to
+    max_pairs and s from 1 to 1e8: a symplectic map of spectral norm s."""
+    n = draw(st.integers(1, max_pairs))
+    s = 10.0 ** draw(st.floats(0.0, 8.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U, V = orthosymplectic(rng, n), orthosymplectic(rng, n)
+    squeeze = np.ones(2 * n)
+    squeeze[:2] = s, 1.0 / s
+    return (U * squeeze) @ V
 
 
 # frozen by an out-of-tree plain RK4 run (h = 2.5e-5), good to ~2e-15

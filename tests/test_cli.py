@@ -262,27 +262,46 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "key, value",
         [("rel_tol", math.nan), ("abs_tol", math.nan), ("residual_budget", math.inf),
-         ("max_step", math.nan)],
+         ("max_step", math.nan), ("max_step", math.inf)],
     )
     def test_nonfinite_integrator_setting(self, tmp_path, capsys, key, value):
         # json reads NaN and Infinity; a NaN tolerance used to spin the solver
-        # through its step budget.  The schema refuses NaN, IntegratorSettings
-        # an infinite budget
+        # through its step budget.  The schema refuses both; an unset max_step is
+        # the only infinite one
         cfg = {**_PROPAGATE, "integrator": {key: value, "max_steps": 5000}}
         assert run(tmp_path, "propagate", cfg)[0] == 2
         message = (f"integrator.{key}: nan is less than or equal to the minimum of 0\n" if math.isnan(value)
-                   else f"{key} must be")
-        assert f"config error: {message}" in capsys.readouterr().err
+                   else f"integrator.{key}: inf is not a finite number\n")
+        assert capsys.readouterr().err == f"config error: {message}"
 
-    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan])
+    @pytest.mark.parametrize(
+        "command, cfg, message",
+        [
+            ("example", {"example": "heisenberg", "control": {"family": "constant", "u": math.nan}},
+             "control.u: nan is not a finite number"),
+            ("example", {"example": "disc", "snapshot_times": [-math.inf]},
+             "snapshot_times.0: -inf is not a finite number"),
+            ("propagate", {**_PROPAGATE, "initial_state": [0.0, math.inf, 0.0, 0.0]},
+             "initial_state.1: inf is not a finite number"),
+            ("skeleton", {"stm": {"matrix": [[2, 0], [0, 2]]}, "tolerance": math.inf},
+             "tolerance: inf is not a finite number"),
+        ],
+    )
+    def test_nonfinite_config_number(self, tmp_path, capsys, command, cfg, message):
+        # a NaN control used to exit 3, and an infinite tolerance turned every gate off
+        assert run(tmp_path, command, cfg)[0] == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
     @pytest.mark.parametrize("command", ["invariants", "skeleton", "surface"])
     def test_tol_override_is_checked_as_the_tolerance_key(self, tmp_path, capsys, command, value):
-        # an override of -1 used to exit 4 or 5, and a NaN one turned every gate off
+        # an override of -1 used to exit 4 or 5, and a NaN or infinite one turned every gate off
         stm = {"matrix": np.eye(2).tolist()}
         cfg = {"invariants": {"system": "pendulum", "initial_state": [0.0, 1.5], "t_span": [0.0, 5.0]},
                "skeleton": {"stm": stm},
                "surface": {"stm": stm, "surface": {"type": "lamina", "n_pairs": 1, "cells": [4, 4]}}}[command]
-        message = f"config error: tolerance: {value!r} is less than or equal to the minimum of 0\n"
+        message = (f"config error: tolerance: {value!r} is less than or equal to the minimum of 0\n"
+                   if value <= 0 or math.isnan(value) else "config error: tolerance: inf is not a finite number\n")
         assert run(tmp_path, command, {**cfg, "tolerance": value})[0] == 2
         assert capsys.readouterr().err == message
         assert run(tmp_path, command, cfg, "--tol-override", str(value))[0] == 2
@@ -463,6 +482,24 @@ class TestPropagate:
         assert code == 0
         assert (out / "trajectory.json").exists()
         assert not (out / "trajectory.csv").exists()
+
+    def test_t_eval_samples_at_the_given_times(self, tmp_path):
+        # t_eval at the samples grid writes that grid's bytes
+        cfg = {key: v for key, v in _PROPAGATE.items() if key != "samples"}
+        written = []
+        for times in ({"samples": 5}, {"t_eval": np.linspace(0.0, 1.0, 5).tolist()}):
+            (tmp_path / str(len(written))).mkdir()
+            code, out = run(tmp_path / str(len(written)), "propagate", {**cfg, **times})
+            assert code == 0
+            written.append((out / "trajectory.csv").read_bytes())
+        assert written[0] == written[1]
+
+    def test_samples_beside_t_eval_is_a_config_error(self, tmp_path, capsys):
+        cfg = {"system": "pendulum", "initial_state": [0, 1], "t_span": [0, 1], "samples": 7, "t_eval": [0, 0.5, 1]}
+        code, out = run(tmp_path, "propagate", cfg)
+        assert code == 2
+        assert "'samples' was unexpected" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rk4_output_is_byte_identical(self, tmp_path):
         cfg = {
@@ -1107,6 +1144,14 @@ class TestExample:
         assert len(rows) == 81
         assert {float(row.split(",")[0]) for row in rows} == {1e-17}
 
+    @pytest.mark.parametrize("example", ["heisenberg", "disc"])
+    def test_a_t_final_shorter_than_the_smallest_step_succeeds(self, tmp_path, example):
+        # the one step lands on t_final; it used to exit 3 "step size underflow"
+        code, out = run(tmp_path, "example", {"example": example, "t_final": 1e-17})
+        assert code == 0
+        rows = (out / f"{example}_snapshots.csv").read_text().splitlines()[1:]
+        assert {float(row.split(",")[0]) for row in rows} == {0.0, 5e-18, 1e-17}
+
     def test_heisenberg_costs_share_the_final_time(self, tmp_path):
         code, out = run(
             tmp_path,
@@ -1250,6 +1295,34 @@ def test_help_lists_each_subcommand_description(capsys, monkeypatch):
         assert any(line.split() == [name, *description.split()] for line in listed)
 
 
+# the flags each subcommand reads beside --config and --out, with a value each takes
+_READ_FLAGS = {"propagate": {"--format"}, "invariants": {"--tol-override"},
+               "skeleton": {"--tol-override", "--seed"}, "surface": {"--tol-override", "--seed"}, "example": set()}
+_FLAG_VALUES = {"--tol-override": "1e-3", "--seed": "1", "--format": "json"}
+
+
+@pytest.mark.parametrize("flag", sorted(_FLAG_VALUES))
+@pytest.mark.parametrize("command", sorted(_READ_FLAGS))
+def test_a_subcommand_takes_only_the_flags_it_reads(capsys, command, flag):
+    argv = [command, "--config", "c.json", "--out", "o", flag, _FLAG_VALUES[flag]]
+    if flag in _READ_FLAGS[command]:
+        assert vars(cli.build_parser().parse_args(argv))[flag[2:].replace("-", "_")] is not None
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {_FLAG_VALUES[flag]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(_READ_FLAGS))
+def test_each_subcommand_help_lists_exactly_its_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE))
+    assert listed == {"--config", "--out", *_READ_FLAGS[command]}
+
+
 @pytest.mark.parametrize(
     "command, cfg, artifacts",
     [
@@ -1300,8 +1373,8 @@ def test_successive_main_calls_start_from_the_default_flags(tmp_path):
         return main([command, "--config", config, "--out", str(tmp_path / out), *flags])
 
     # a tolerance below rounding rejects the drawn map
-    flags = ["--tol-override", "1e-300", "--seed", "7", "--format", "json"]
-    assert call("skeleton", skel, "a", *flags) == 5
+    assert call("skeleton", skel, "a", "--tol-override", "1e-300", "--seed", "7") == 5
+    assert call("propagate", prop, "json", "--format", "json") == 0
     assert call("propagate", prop, "b") == 0
     assert sorted(p.name for p in (tmp_path / "b").iterdir()) == ["trajectory.csv"]
     assert call("skeleton", skel, "c") == 0

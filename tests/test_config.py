@@ -121,12 +121,19 @@ def test_verdicts_match_jsonschema(command, data):
 
 
 def test_nan_is_refused_at_every_bounded_number():
-    # json reads NaN, which jsonschema's minimum and exclusiveMinimum let through
-    bounded = [sub for schema in _SCHEMAS.values() for sub in _subschemas(schema)
-               if sub.get("type") == "number" and {"minimum", "exclusiveMinimum"} & set(sub)]
-    assert bounded
-    for sub in bounded:
-        assert "nan is less than" in _schema_error(math.nan, sub), sub
+    # json reads NaN and Infinity, which jsonschema's minimum and exclusiveMinimum
+    # let through; a NaN fails a bound, and no number may be infinite or NaN
+    numbers = [sub for schema in _SCHEMAS.values() for sub in _subschemas(schema) if sub.get("type") == "number"]
+    bounded = [sub for sub in numbers if {"minimum", "exclusiveMinimum"} & set(sub)]
+    assert bounded and len(bounded) < len(numbers)
+    for sub in numbers:
+        assert _schema_error(math.inf, sub) == "config: inf is not a finite number", sub
+        if sub in bounded:
+            assert "nan is less than" in _schema_error(math.nan, sub), sub
+            assert "-inf is less than" in _schema_error(-math.inf, sub), sub
+        else:
+            assert _schema_error(math.nan, sub) == "config: nan is not a finite number", sub
+            assert _schema_error(-math.inf, sub) == "config: -inf is not a finite number", sub
 
 
 def test_every_default_conforms_to_its_property():

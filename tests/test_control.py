@@ -182,10 +182,12 @@ class TestMomentsAtManyTimes:
         assert ms[0] == moments(ctrl, 0.5)
         assert [m.mu for m in ms[1:]] == pytest.approx([1e-17, below], rel=1e-12, abs=1e-30)
 
-    def test_a_lone_time_within_the_smallest_step_of_zero_fails(self):
-        # steps still end on the largest time, and no step is that short
-        with pytest.raises(IntegrationError, match="step size underflow"):
-            moments(constant_control(1.0, 0.0), 1e-17)
+    def test_a_lone_time_within_the_smallest_step_of_zero_succeeds(self):
+        # the one step lands on the largest time, however short; a constant
+        # control's moments are mu = u t, nu = v t, alpha = 0
+        m = moments(constant_control(1.0, 0.3), 1e-17)
+        assert (m.mu, m.nu) == pytest.approx((1e-17, 3e-18), rel=1e-15, abs=0.0)
+        assert abs(m.alpha) <= 1e-40
 
 
 class TestFlowAndStm:

@@ -26,7 +26,7 @@ from symvol import (
     volume_2k,
     wirtinger_check,
 )
-from conftest import BETA_FIXTURE, equal_rotation, squeeze_rotate
+from conftest import BETA_FIXTURE, equal_rotation, squeeze_rotate, squeezed_symplectic
 
 
 def _pc_pairing_expansion(V, n):
@@ -63,6 +63,17 @@ class TestSubdeterminants:
             tab = subdet_table(Phi)
             assert np.allclose(tab.column_sums, 1.0, atol=1e-9)
             assert np.allclose(tab.row_sums, 1.0, atol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(Phi=squeezed_symplectic())
+    def test_sum_laws_hold_to_rounding_on_squeezed_maps(self, Phi):
+        # rounding in Phi^T J Phi and in each 2x2 determinant grows with |Phi|_2^2
+        n = Phi.shape[0] // 2
+        bound = 8 * n * np.finfo(float).eps * max(1.0, np.linalg.norm(Phi, 2) ** 2)
+        tab = subdet_table(Phi)
+        assert symplecticity_residual(Phi) <= bound
+        assert np.max(np.abs(tab.column_sums - 1.0)) <= bound
+        assert np.max(np.abs(tab.row_sums - 1.0)) <= bound
 
     def test_sum_laws_fail_off_group(self):
         tab = subdet_table(np.diag([2.0, 1.0, 1.0, 1.0]))

@@ -55,6 +55,20 @@ class TestSolveOdeRk45:
         )
         assert np.allclose(ys[:, 0], np.sin(ts), atol=1e-10)
 
+    @pytest.mark.parametrize("t0", [0.0, 1e6])
+    def test_a_span_shorter_than_the_smallest_step_is_one_landing_step(self, t0):
+        # 1e-17 past 0, and one ulp past 1e6, both under 16 eps max(|t|, 1)
+        t1 = 1e-17 if t0 == 0.0 else math.nextafter(t0, math.inf)
+        ys, stats = solve_ode_rk45(lambda t, y: y * 0.0 + 1.0, t0, np.array([0.0]), np.array([t0, t1]))
+        assert ys[-1, 0] == pytest.approx(t1 - t0, rel=1e-14)
+        assert (stats["steps"], stats["rejected"]) == (1, 0)
+
+    def test_a_rejected_landing_step_can_still_underflow(self):
+        # the rejection shrinks the step short of the last node, where the check applies
+        with pytest.raises(IntegrationError, match="step size underflow at t = 0.0"):
+            solve_ode_rk45(lambda t, y: np.array([1.0 if t == 0.0 else math.nan]), 0.0, np.array([0.0]),
+                           np.array([0.0, 1e-17]))
+
     def test_step_budget_error(self):
         with pytest.raises(IntegrationError, match="step"):
             solve_ode_rk45(
@@ -619,7 +633,7 @@ def ref_solve_ode_rk45_dense(f, t0, y0, t_eval, stops, rel_tol=1e-10, abs_tol=1e
         lands = abs(target - t) <= h_attempt * (1 + 1e-12)
         if lands:
             h_attempt = abs(target - t)
-        if h_attempt < _REF_MIN_STEP * max(abs(t), 1.0):
+        if not lands and h_attempt < _REF_MIN_STEP * max(abs(t), 1.0):
             raise IntegrationError(f"step size underflow at t = {t}")
 
         hs = direction * h_attempt
