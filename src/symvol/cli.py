@@ -400,9 +400,10 @@ def _make_system(spec):
         for key, value in params.items():
             if key not in accepted:
                 raise ConfigError(f"system {name!r} has no parameter {key!r}")
-            if not _has_type(value, "number"):  # every builtin parameter is a number
+            # every builtin parameter is a float; NaN fails the comparison
+            if not (_has_type(value, "number") and abs(value) <= sys.float_info.max):
                 raise ConfigError(
-                    f"system {name!r} parameter {key!r} must be a number, got {value!r}"
+                    f"system {name!r} parameter {key!r} must be a finite number, got {value!r}"
                 )
     return builtin_system(name, **params)
 
@@ -593,7 +594,10 @@ def _make_surface(spec):
         raise ConfigError(f"surface.pair {pair} out of range for {n} pairs")
     if spec["type"] == "lamina":
         return lamina(pair, n, **kwargs)
-    return linear_graph_surface(pair, n, _float_array(spec["coeffs"], "surface.coeffs"), **kwargs)
+    coeffs = _float_array(spec["coeffs"], "surface.coeffs")
+    if not np.isfinite(coeffs).all():
+        raise ConfigError("surface.coeffs has non-finite entries (NaN or infinity)")
+    return linear_graph_surface(pair, n, coeffs, **kwargs)
 
 
 def cmd_surface(cfg, args, outdir: Path) -> int:

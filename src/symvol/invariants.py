@@ -251,7 +251,7 @@ def collapse_angle(Phi, pairs, tol: float = 1e-8) -> CollapseAngle:
 def random_symplectic(n_pairs: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Random symplectic matrix exp(J A), A symmetric with uniform [-1, 1]
     entries (times scale).  The symplecticity residual is verified <= 1e-10
-    on every draw."""
+    on every draw; a ValueError if five draws miss it (a scale too large)."""
     from scipy.linalg import expm  # deferred: it roughly doubles the import time of symvol
     J = structure_matrix(n_pairs)
     for _ in range(5):
@@ -261,7 +261,7 @@ def random_symplectic(n_pairs: int, rng: np.random.Generator, scale: float = 1.0
         Phi = expm(J @ A)
         if symplecticity_residual(Phi) <= 1e-10:
             return Phi
-    raise RuntimeError("failed to draw a symplectic matrix within residual 1e-10")
+    raise ValueError(f"failed to draw a symplectic matrix within residual 1e-10 at scale {scale}")
 
 
 def pair_subsets(n_pairs: int, proper: bool = False):

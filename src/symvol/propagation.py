@@ -17,8 +17,10 @@ update them in place (stage sums by np.dot(..., out=)), in the same
 floating-point operations and order as the textbook allocating form, so
 samples and step counters are bit for bit what that form gives.  A system
 marked quadratic, H(x) = 1/2 x^T H x, has x' = A x with A = J H formed once
-per propagate; an RHS call is one product [x^T; Phi^T] A^T, with x' summed
-from the rounded products A_ij x_j as the builtin gradients do: no grad_H.
+per propagate.  Under rk45 an RHS call is one product [x^T; Phi^T] A^T, with
+x' summed from the rounded products A_ij x_j as the builtin gradients do: no
+grad_H.  Under rk4 a step is one product with R4(hA)^T, the polynomial the
+four stages compose to (Hairer-Lubich-Wanner 2006, VI.4), on the same grid.
 """
 from __future__ import annotations
 
@@ -263,6 +265,28 @@ def solve_ode_rk45(
     return out, stats
 
 
+def _rk4(advance, t0, y0, t_eval, n_steps, max_steps):
+    """The one rk4 grid rule: n_steps spread over the sample intervals in
+    proportion to their length (at least one step each), the step budget
+    checked before any step, and each interval's sub steps of size h taken by
+    advance(t, h, sub), which returns y at the interval's end."""
+    nodes = _nodes(t0, t_eval)
+    span = abs(nodes[-1] - t0)
+    subs = [max(1, int(round(n_steps * abs(tb - ta) / span))) for ta, tb in zip(nodes, nodes[1:])]
+    total_sub = sum(subs)
+    if total_sub > max_steps:
+        raise IntegrationError(f"step budget {max_steps} exceeded: the rk4 grid needs {total_sub} steps")
+    out = np.empty((len(nodes), y0.size))
+    out[0] = y0
+    for i, sub in enumerate(subs, start=1):
+        ta, tb = nodes[i - 1], nodes[i]
+        y = advance(ta, (tb - ta) / sub, sub)
+        if not _finite(y):
+            raise IntegrationError(f"solution not finite at t = {tb}")
+        out[i] = y
+    return out, {"steps": total_sub, "rejected": 0, "rhs_evals": 4 * total_sub}
+
+
 def solve_ode_rk4(
     f: Callable[[float, np.ndarray], np.ndarray],
     t0: float,
@@ -278,29 +302,21 @@ def solve_ode_rk4(
     to their length (at least one step per interval); if the distributed
     steps exceed max_steps the solve fails before its first step.  Runs with
     identical inputs are bit-for-bit reproducible.  As in solve_ode_rk45, the
-    y handed to f is a work buffer that f must not keep.
+    y handed to f is a work buffer that f must not keep.  A quadratic system's
+    propagate steps on the same grid by R4(hA) instead (_rk4_linear).
     """
     y0 = np.asarray(y0, dtype=float)
-    nodes = _nodes(t0, t_eval)
-    span = abs(nodes[-1] - t0)
+    return _rk4(_rk4_stages(f, y0), t0, y0, t_eval, n_steps, max_steps)
 
-    subs = [max(1, int(round(n_steps * abs(tb - ta) / span))) for ta, tb in zip(nodes, nodes[1:])]
-    total_sub = sum(subs)
-    if total_sub > max_steps:
-        raise IntegrationError(
-            f"step budget {max_steps} exceeded: the rk4 grid needs {total_sub} steps"
-        )
 
+def _rk4_stages(f, y0):
+    """_rk4's advance by the four RHS calls of classical RK4."""
     m = y0.size
-    out = np.empty((len(nodes), m))
-    out[0] = y0
     k = np.empty((4, m))
     y, stage, acc = y0.copy(), np.empty(m), np.empty(m)
-    n_rhs = 0
-    for i, sub in enumerate(subs, start=1):
-        ta, tb = nodes[i - 1], nodes[i]
-        h = (tb - ta) / sub
-        t = ta
+
+    def advance(t, h, sub):
+        nonlocal y, stage, acc  # rebound to themselves by the in-place updates
         for _ in range(sub):
             # stage inputs y + (c h) k, then y += (h/6) (((k1 + 2 k2) + 2 k3) + k4)
             k[0] = f(t, y)
@@ -321,12 +337,29 @@ def solve_ode_rk4(
             acc *= h / 6.0
             y += acc
             t += h
-            n_rhs += 4
-        if not _finite(y):
-            raise IntegrationError(f"solution not finite at t = {tb}")
-        out[i] = y
-    stats = {"steps": total_sub, "rejected": 0, "rhs_evals": n_rhs}
-    return out, stats
+        return y
+
+    return advance
+
+
+def _rk4_linear(A, y0):
+    """_rk4's advance for y = [x | Phi columns] under x' = A x: one RK4 step is
+    exactly R4(hA) = I + z(I + z/2(I + z/3(I + z/4))), z = hA, formed once per
+    interval, so a step is one product [x^T; Phi^T] R4^T into alternating
+    buffers.  Its 4 RHS evaluations a step are the stages R4 stands for."""
+    d = A.shape[0]
+    eye = np.eye(d)
+    bufs = [y0.reshape(d + 1, d).copy(), np.empty((d + 1, d))]
+
+    def advance(t, h, sub):
+        z = h * A
+        R_T = (eye + z @ (eye + (z / 2) @ (eye + (z / 3) @ (eye + z / 4)))).T
+        for _ in range(sub):
+            np.dot(bufs[0], R_T, out=bufs[1])
+            bufs.reverse()
+        return bufs[0].ravel()
+
+    return advance
 
 
 @dataclass(frozen=True)
@@ -400,26 +433,24 @@ def _co_integrate(field, x0, t_eval, settings: IntegratorSettings):
     """Integrate x' = f(t, x) and its STM, Phi' = Df(t, x) Phi, from Phi = I.
 
     field is a callable (t, x) -> (f, Df) or, for a linear field x' = A x,
-    the constant (d, d) array A.  rk45 lands on the last node alone, rk4 on
-    every node (see solve_ode_rk45).
+    the constant (d, d) array A, which rk4 steps by R4(hA) (_rk4_linear).
+    rk45 lands on the last node alone, rk4 on every node (see solve_ode_rk45).
 
     Returns the states (m, d) and STMs (m, d, d) at the t_eval nodes, and
     the raw integrator counters.
     """
     x0 = np.asarray(x0, dtype=float)
     d = x0.size
-    rhs = _augmented_rhs(field, d)
     y0 = np.concatenate([x0, np.eye(d).ravel()])
     if settings.method == "rk45":
         Y, raw = solve_ode_rk45(
-            rhs, t_eval[0], y0, t_eval,
+            _augmented_rhs(field, d), t_eval[0], y0, t_eval,
             rel_tol=settings.rel_tol, abs_tol=settings.abs_tol,
             max_step=settings.max_step, max_steps=settings.max_steps,
         )
     else:
-        Y, raw = solve_ode_rk4(
-            rhs, t_eval[0], y0, t_eval, n_steps=settings.n_steps, max_steps=settings.max_steps
-        )
+        advance = _rk4_linear(field, y0) if not callable(field) else _rk4_stages(_augmented_rhs(field, d), y0)
+        Y, raw = _rk4(advance, t_eval[0], y0, t_eval, settings.n_steps, settings.max_steps)
     if not np.isfinite(Y).all():
         raise IntegrationError("propagation produced non-finite samples")
     return Y[:, :d], Y[:, d:].reshape(-1, d, d).transpose(0, 2, 1).copy(), raw

@@ -387,6 +387,28 @@ class TestConfigErrors:
         assert run(tmp_path, "surface", {"surface": spec})[0] == 2
         assert capsys.readouterr().err == "config error: surface.coeffs must be an array of numbers\n"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None])
+    def test_nonfinite_surface_coeffs(self, tmp_path, capsys, bad):
+        # an infinite coefficient used to exit 2 with numpy's "SVD did not
+        # converge", which names no key
+        spec = {"type": "linear_graph", "pair": 1, "n_pairs": 2, "coeffs": [[bad, 0.0], [0.0, 0.0]]}
+        assert run(tmp_path, "surface", {"surface": spec})[0] == 2
+        assert capsys.readouterr().err == (
+            "config error: surface.coeffs has non-finite entries (NaN or infinity)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["skeleton", "surface"])
+    def test_random_symplectic_scale_past_the_residual_gate(self, tmp_path, capsys, command):
+        # exp(J A) at scale 20 misses the 1e-10 residual gate on every draw;
+        # that was a bare RuntimeError: a traceback and exit 1
+        cfg = {"stm": {"random_symplectic": {"n_pairs": 2, "scale": 20}}}
+        if command == "surface":
+            cfg["surface"] = _LAMINA
+        assert run(tmp_path, command, cfg)[0] == 2
+        assert capsys.readouterr().err == (
+            "config error: failed to draw a symplectic matrix within residual 1e-10 at scale 20\n"
+        )
+
     @pytest.mark.parametrize(
         "times, width, message",
         [
@@ -449,6 +471,17 @@ class TestConfigErrors:
         assert run(tmp_path, "propagate", cfg)[0] == 2
         err = capsys.readouterr().err
         assert f"system {system['name']!r}" in err and repr(param) in err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    def test_nonfinite_system_param(self, tmp_path, capsys, value):
+        # a NaN coupling used to reach the integrator: exit 3, "derivative not finite"
+        system = {"name": "coupled_oscillators", "params": {"epsilon": value}}
+        cfg = {"system": system, "initial_state": [1, 0, 0, 0], "t_span": [0, 1]}
+        assert run(tmp_path, "propagate", cfg)[0] == 2
+        assert capsys.readouterr().err == (
+            f"config error: system 'coupled_oscillators' parameter 'epsilon' must be a finite number, "
+            f"got {value!r}\n"
+        )
 
 
 class TestPropagate:

@@ -26,6 +26,8 @@ from symvol.propagation import (
     _augmented_rhs,
     _hamiltonian_field,
     _initial_step,
+    _rk4,
+    _rk4_linear,
     _sample_nodes,
     solve_ode_rk4,
     solve_ode_rk45,
@@ -926,10 +928,31 @@ def _quadratic_pair(A, hess_H=None):
             HamiltonianSystem(n, grad, hess, name="general"))
 
 
+def _assert_same_run(a, b, method, x0):
+    """Two runs of one quadratic system, marked and unmarked: rk45 bit for
+    bit; rk4, whose marked run steps by R4(hA) where the unmarked one sums
+    four stages, with the same counters and states and STMs within N steps'
+    rounding.  Both forms give R4(hA) y in exact arithmetic; in floating point
+    each step's results differ by about an ulp of y (the final sum y + h/6 (...)
+    rounds in each, the other terms being h |A| <= 0.1 of it), and on these
+    bounded oscillators the N steps' gaps add up to at most 2 N eps of the
+    state (plus an ulp of the subnormals per step) or of the STM."""
+    assert a.stats == b.stats
+    if method == "rk45":
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a.stms.tobytes() == b.stms.tobytes()
+        return
+    n, fi = a.stats.steps, np.finfo(float)
+    bound = 2 * n * fi.eps * np.abs(x0).max() + n * fi.smallest_subnormal
+    assert np.abs(a.states - b.states).max() <= bound
+    assert np.abs(a.stms - b.stms).max() <= 2 * n * fi.eps * max(1.0, np.abs(a.stms).max())
+
+
 class TestQuadraticSystem:
     """A system marked quadratic: Hess H is evaluated once per propagate, and
     the kernel integrates [x | Phi] by the constant J Hess H alone, with the
-    per-call path's bits wherever the arithmetic is exact."""
+    per-call path's bits under rk45 wherever the arithmetic is exact, and
+    under rk4 one product with R4(hA)^T per step."""
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), dyadic=st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -947,10 +970,10 @@ class TestQuadraticSystem:
         _assert_linear_rhs_matches(a, b, A, y[:d], exact=dyadic)
 
     @pytest.mark.parametrize("method", ["rk45", "rk4"])
-    def test_propagate_is_bitwise_the_per_call_path(self, method):
+    def test_propagate_is_the_per_call_path(self, method):
         # the builtin gradients multiply and add, as the linear form's
         # rounded products and row sums do, so the couplings need not be
-        # dyadic (0.25 is the benchmark's)
+        # dyadic (0.25 is the benchmark's); rk4 within N steps' rounding
         settings = IntegratorSettings(method=method, n_steps=400)
         cases = [
             (builtin_system("coupled_oscillators", epsilon=0.3), [0.3, 0.1, -0.2, 0.4]),
@@ -962,9 +985,10 @@ class TestQuadraticSystem:
             general = dataclasses.replace(sys, quadratic=False)
             a = propagate(sys, x0, (0.0, -7.0), settings, samples=9)
             b = propagate(general, x0, (0.0, -7.0), settings, samples=9)
-            for name in ("states", "stms", "residuals", "energy_drift"):
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (sys.name, name)
-            assert a.stats == b.stats
+            _assert_same_run(a, b, method, np.asarray(x0))
+            if method == "rk45":
+                for name in ("residuals", "energy_drift"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (sys.name, name)
 
     @given(
         method=st.sampled_from(["rk45", "rk4"]),
@@ -973,16 +997,14 @@ class TestQuadraticSystem:
         scale=st.sampled_from([1e-310, 1e-8, 1.0, 1e8]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_coupled_runs_are_bitwise_for_any_coupling(self, method, epsilon, seed, scale):
+    def test_coupled_runs_match_for_any_coupling(self, method, epsilon, seed, scale):
         coupled = builtin_system("coupled_oscillators", epsilon=epsilon)
         general = dataclasses.replace(coupled, quadratic=False)
         settings = IntegratorSettings(method=method, n_steps=200)
         x0 = scale * np.random.default_rng(seed).normal(size=4)
         a = propagate(coupled, x0, (0.0, 3.0), settings, samples=4)
         b = propagate(general, x0, (0.0, 3.0), settings, samples=4)
-        assert a.states.tobytes() == b.states.tobytes()
-        assert a.stms.tobytes() == b.stms.tobytes()
-        assert a.stats == b.stats
+        _assert_same_run(a, b, method, x0)
 
     def test_hessian_is_evaluated_once_per_run_besides_the_check(self):
         hess = _CountedHessian(np.diag([1.0, 2.0]))
@@ -1005,6 +1027,48 @@ class TestQuadraticSystem:
         for sys in _quadratic_pair(skew):
             with pytest.warns(RuntimeWarning, match="asymmetric by 5.000e-01"):
                 propagate(sys, [0.1, 0.2], (0.0, 1.0))
+
+
+class TestMatrixStep:
+    """rk4 of a linear field x' = A x steps [x^T; Phi^T] by R4(hA)^T, the
+    polynomial its four stages compose to."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        hA=st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-12),
+        a_exp=st.floats(-3.0, 3.0),
+        y_exp=st.floats(-5.0, 5.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_step_matches_the_per_call_step(self, seed, n, hA, a_exp, y_exp):
+        rng = np.random.default_rng(seed)
+        d = 2 * n
+        G = rng.normal(size=(d, d))
+        A = 10.0**a_exp * structure_matrix(n) @ (G + G.T)
+        h = hA / np.abs(A).sum(1).max()  # |h| ||A||_inf = |hA| <= 1
+        y0 = 10.0**y_exp * rng.normal(size=d + d * d)
+        a, a_stats = _rk4(_rk4_linear(A, y0), 0.0, y0, [0.0, h], 1, 1)
+        b, b_stats = solve_ode_rk4(_augmented_rhs(A, d), 0.0, y0, [0.0, h], n_steps=1)
+        assert a_stats == b_stats == {"steps": 1, "rejected": 0, "rhs_evals": 4}
+        assert a[0].tobytes() == b[0].tobytes()
+        # each path rounds four nested length-d products (stages or Horner
+        # factors), each to d eps of terms summing to at most e^|hA| <= e of |y|
+        assert np.abs(a[1] - b[1]).max() <= 8 * math.e * d * _EPS * np.abs(y0).max()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_overflow_fails_at_the_interval_of_the_per_call_path(self, n):
+        # H = sum_i r_i p_i q_i: q_i grows as e^(r_i t), r_1 = 100, so the
+        # samples at t = 7 (e^700) are finite and those at t = 8 overflow
+        d = 2 * n
+        H = np.zeros((d, d))
+        H[np.arange(0, d, 2), np.arange(1, d, 2)] = H[np.arange(1, d, 2), np.arange(0, d, 2)] = (
+            100.0 / np.arange(1, n + 1))
+        settings = IntegratorSettings(method="rk4", n_steps=10_000)
+        for sys in _quadratic_pair(H):
+            with pytest.raises(IntegrationError, match=r"^solution not finite at t = 8\.0$"):
+                propagate(sys, np.ones(d), (0.0, 10.0), settings, samples=11)
 
 
 class TestQuadraticContract:
@@ -1093,3 +1157,22 @@ class TestLongRunOracle:
         errors = [np.max(np.abs(x - expm(t * JH) @ x0)) for t, x in zip(traj.times, traj.states)]
         assert errors[0] == 0.0
         assert max(errors) <= 1e-9
+
+    def test_rk4_stm_against_matrix_exponential_to_t1000(self):
+        # h = 0.01: each step takes mode k by R4(h lam_k) for e^(h lam_k),
+        # |R4| <= 1 on the imaginary axis, so after N steps the STM is off by
+        # at most sum_k |v_k| |w_k| N |R4(h lam_k) - e^(h lam_k)| (V = eigenvectors,
+        # W = V^-1), plus N steps' rounding
+        sys, x0 = builtin_system("coupled_oscillators"), np.array([0.3, 0.1, -0.2, 0.4])
+        JH = structure_matrix(sys.n_pairs) @ sys.hessian(PhaseState(np.zeros(sys.dim)))
+        traj = propagate(sys, x0, (0.0, 1000.0), IntegratorSettings(method="rk4", n_steps=100_000),
+                         samples=11)
+        lam, V = np.linalg.eig(JH)
+        W, z = np.linalg.inv(V), 0.01 * lam
+        gap = np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4))) - np.exp(z))
+        assert np.all(np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))) <= 1)
+        for t, Phi, x in zip(traj.times, traj.stms, traj.states):
+            steps = round(t / 0.01)
+            bound = (np.abs(V) * steps * gap) @ np.abs(W) + 4 * steps * _EPS
+            assert np.all(np.abs(Phi - expm(t * JH)) <= bound)
+            assert np.all(np.abs(x - expm(t * JH) @ x0) <= bound @ np.abs(x0))
