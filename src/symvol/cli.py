@@ -238,7 +238,8 @@ _SCHEMAS = {
             **_EXAMPLE,
             snapshot_bounds={**_SNAPSHOT_BOUNDS, "default": [[-0.5, 0.5], [-0.5, 0.5]]},
             rel_tol={**_POSITIVE, "default": 1e-12},
-            quadrature_nodes={"type": "integer", "minimum": 2, "default": 16},
+            # the integrand is degree 2, so any count >= 2 is exact; the cap bounds leggauss's n x n matrix
+            quadrature_nodes={"type": "integer", "minimum": 2, "maximum": 1024, "default": 16},
             output={"type": "string", "default": "heisenberg"},
         ),
         disc=_object(
@@ -275,11 +276,12 @@ def _schema_error(value, schema, path=""):
     """The first way value breaks schema, as a message; None if it conforms.
 
     Covers the JSON Schema 2020-12 keywords the schemas above use: type, enum,
-    minimum, exclusiveMinimum, minItems, maxItems, items, required, properties,
-    additionalProperties (false) and oneOf (default only annotates).
+    minimum, maximum, exclusiveMinimum, minItems, maxItems, items, required,
+    properties, additionalProperties (false) and oneOf (default only annotates).
     path is the dotted instance path.  Unlike jsonschema, a number must be
-    finite: a NaN (which json reads) fails minimum and exclusiveMinimum, as it
-    fails every comparison, and an infinity or unbounded NaN is not finite.
+    finite: a NaN (which json reads) fails minimum, maximum and
+    exclusiveMinimum, as it fails every comparison, and an infinity or
+    unbounded NaN is not finite.
     """
     at = path or "config"
     if "type" in schema and not _has_type(value, schema["type"]):
@@ -289,6 +291,8 @@ def _schema_error(value, schema, path=""):
     if _has_type(value, "number"):
         if "minimum" in schema and not value >= schema["minimum"]:
             return f"{at}: {value!r} is less than the minimum of {schema['minimum']!r}"
+        if "maximum" in schema and not value <= schema["maximum"]:
+            return f"{at}: {value!r} is greater than the maximum of {schema['maximum']!r}"
         if "exclusiveMinimum" in schema and not value > schema["exclusiveMinimum"]:
             bound = schema["exclusiveMinimum"]
             return f"{at}: {value!r} is less than or equal to the minimum of {bound!r}"
@@ -478,11 +482,13 @@ def cmd_invariants(cfg, args, outdir: Path) -> int:
     n = traj.n_pairs
     tol = cfg["tolerance"]
     splits = [tuple(s) for s in cfg["splits"]] or list(pair_subsets(n, proper=True))
-    for s in splits:
+    for i, s in enumerate(splits):
         if max(s) > n:
             raise ConfigError(f"split {list(s)} out of range for {n} pairs")
         if list(s) != sorted(set(s)):
             raise ConfigError(f"split {list(s)} must be sorted and duplicate-free")
+        if s in splits[:i]:
+            raise ConfigError(f"split {list(s)} is listed more than once")
     names = ["+".join(map(str, s)) for s in splits]
 
     # one pass per split over the whole trajectory; found holds (sample, message)

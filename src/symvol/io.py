@@ -80,9 +80,21 @@ def _constant_columns(a) -> np.ndarray:
     return same
 
 
-def _read_floats(rows) -> np.ndarray:
-    """CSV rows parsed with Python's float(), which inverts fmt exactly."""
-    return np.array([[float(v) for v in row] for row in rows if row], dtype=float)
+def _read_floats(reader, path) -> np.ndarray:
+    """The rows of a csv.reader over the file path, parsed with Python's
+    float(), which inverts fmt exactly; a ValueError names the path and the
+    line of a cell that is not a number or of a row unlike the first in length."""
+    data = []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            data.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        if len(row) != len(data[0]):
+            raise ValueError(f"{path}: line {reader.line_num} has {len(row)} values, expected {len(data[0])}")
+    return np.array(data, dtype=float)
 
 
 def write_json(obj, path):
@@ -140,9 +152,13 @@ def _key(k) -> str:
 
 
 def read_json(path):
-    """The JSON document in a file: a config, or what write_json wrote."""
+    """The JSON document in a file: a config, or what write_json wrote.  A
+    ValueError for a file that is not JSON starts with the path."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _trajectory_header(n_pairs: int) -> list:
@@ -215,7 +231,7 @@ def load_trajectory(path) -> Trajectory:
         n_pairs = (math.isqrt(max(16 * len(header) - 44, 0)) - 2) // 8
         if header and (n_pairs < 1 or header != _trajectory_header(n_pairs)):
             raise ValueError(f"{path}: not a trajectory CSV (unrecognized header)")
-        data = _read_floats(rows)
+        data = _read_floats(rows, path)
     if not data.size:
         raise ValueError(f"{path}: no data rows")
     if data.shape[1:] != (len(header),):
@@ -243,7 +259,7 @@ def load_matrix(path) -> np.ndarray:
         M = _float_array(_field(obj, "matrix", path) if isinstance(obj, dict) else obj, f"{path}: matrix")
     else:
         with open(path, newline="") as fh:
-            M = _read_floats(csv.reader(fh))
+            M = _read_floats(csv.reader(fh), path)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{path}: expected a square matrix, got shape {M.shape}")
     return M

@@ -17,10 +17,11 @@ update them in place (stage sums by np.dot(..., out=)), in the same
 floating-point operations and order as the textbook allocating form, so
 samples and step counters are bit for bit what that form gives.  A system
 marked quadratic, H(x) = 1/2 x^T H x, has x' = A x with A = J H formed once
-per propagate.  Under rk45 an RHS call is one product [x^T; Phi^T] A^T, with
-x' summed from the rounded products A_ij x_j as the builtin gradients do: no
-grad_H.  Under rk4 a step is one product with R4(hA)^T, the polynomial the
-four stages compose to (Hairer-Lubich-Wanner 2006, VI.4), on the same grid.
+per propagate, and neither grad_H nor hess_H is called per step.  Under rk45
+an RHS call is one product [x^T; Phi^T] A^T; under rk4 a step is one product
+with R4(hA)^T, the polynomial the four stages compose to (Hairer-Lubich-Wanner
+2006, VI.4), on the same grid.  Either way the run is the per-call path's to
+rounding, and repeats byte for byte.
 """
 from __future__ import annotations
 
@@ -403,19 +404,13 @@ def _augmented_rhs(field, d: int):
     constant (d, d) array A of a linear field x' = A x.
 
     y[d:] read row-major is Phi^T, so the variational term is written in
-    place as Phi^T Df^T.  A linear field's [x^T; Phi^T] is one product by
-    A^T; x' is then redone as the row sums of the rounded products A_ij x_j,
-    which BLAS may fuse (times 1.0 it adds exactly).  A non-finite x gets a
-    non-finite derivative, which the integrators reject.
+    place as Phi^T Df^T, and a linear field's [x^T; Phi^T] is one product by
+    A^T.  A non-finite x gets a non-finite derivative, which the integrators
+    reject.
     """
     if not callable(field):
-        A_T, prod, ones = field.T, np.empty((d, d)), np.ones(d)
-
-        def linear(t, y):
-            dy = np.dot(y.reshape(d + 1, d), A_T).ravel()
-            np.dot(np.multiply(field, y[:d], out=prod), ones, out=dy[:d])
-            return dy
-        return linear
+        A_T = field.T
+        return lambda t, y: np.dot(y.reshape(d + 1, d), A_T).ravel()
 
     def rhs(t, y):
         x = y[:d]

@@ -99,6 +99,16 @@ BAD_TRAJECTORY_FILES = [
      "trajectory stms must be an array of numbers"),
     ("drift_boolean.json", {**HAND_TRAJECTORY, "energy_drift": [None, False]},
      "trajectory energy_drift must be an array of numbers"),
+    # a file that does not parse is named, with the line for CSV (numpy's
+    # "inhomogeneous shape" and json's or float()'s message named neither)
+    ("broken.json", '{"times": [0, 1]\n"states": []}',
+     "{path}: Expecting ',' delimiter: line 2 column 1 (char 17)"),
+    ("ragged.csv", "t,x_1,x_2,phi_11,phi_12,phi_21,phi_22,sympl_residual,energy_drift\n"
+     "0,0,0,1,0,0,1,0,0\n1,0,0,1,0,0,1,0\n",
+     "{path}: line 3 has 8 values, expected 9"),
+    ("cell.csv", "t,x_1,x_2,phi_11,phi_12,phi_21,phi_22,sympl_residual,energy_drift\n"
+     "0,0,0,1,0,0,1,0,0\n1,0,abc,1,0,0,1,0,0\n",
+     "{path}: line 3: could not convert string to float: 'abc'"),
     # a missing field raised a bare KeyError, printed as "config error: 'stms'"
     *[(f"no_{key}.json", {k: v for k, v in HAND_TRAJECTORY.items() if k != key},
        f"{{path}}: missing required field {key!r}") for key in HAND_TRAJECTORY],
@@ -106,10 +116,10 @@ BAD_TRAJECTORY_FILES = [
 
 
 def write_bad_trajectory(tmp_path, name, content) -> Path:
-    """The file name under tmp_path holding content: CSV text, or an object
-    json writes with its NaN and Infinity literals."""
+    """The file name under tmp_path holding content: text as it stands, or
+    an object json writes with its NaN and Infinity literals."""
     path = tmp_path / name
-    path.write_text(content if name.endswith(".csv") else json.dumps(content))
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
     return path
 
 

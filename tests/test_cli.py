@@ -115,9 +115,12 @@ class TestConfigErrors:
         assert "unknown key" in capsys.readouterr().err
 
     def test_malformed_json(self, tmp_path, capsys):
+        # json's message alone named neither the file nor that it was the config
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["propagate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {path}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n")
 
     def test_nonexistent_config(self, tmp_path):
         assert main(["propagate", "--config", str(tmp_path / "missing.json")]) == 2
@@ -368,6 +371,14 @@ class TestConfigErrors:
         mpath.write_text(json.dumps({"rows": [[1, 0], [0, 1]]}))
         assert run(tmp_path, "skeleton", {"stm": str(mpath)})[0] == 2
         assert capsys.readouterr().err == f"config error: {mpath}: missing required field 'matrix'\n"
+
+    def test_stm_file_that_is_not_json_is_named(self, tmp_path, capsys):
+        # json's message alone named no file
+        mpath = tmp_path / "phi.json"
+        mpath.write_text('{"matrix": [[1, 0]\n[0, 1]]}')
+        assert run(tmp_path, "skeleton", {"stm": str(mpath)})[0] == 2
+        assert capsys.readouterr().err == (
+            f"config error: {mpath}: Expecting ',' delimiter: line 2 column 1 (char 19)\n")
 
     @pytest.mark.parametrize("bad", ["2", False], ids=["string", "boolean"])
     def test_stm_file_holding_a_string_or_boolean(self, tmp_path, capsys, bad):
@@ -645,6 +656,14 @@ class TestInvariants:
         code, out = run(tmp_path, "invariants", {"trajectory": traj_path, "splits": [[1], split]})
         assert code == 2
         assert f"split {split} must be sorted and duplicate-free" in capsys.readouterr().err
+        assert not (out / "invariants.json").exists()
+
+    def test_repeated_split_is_a_config_error(self, tmp_path, capsys):
+        # the report's header and columns repeated the split's
+        traj_path = fixture_trajectory(tmp_path / "fix.json", [np.eye(6)])
+        code, out = run(tmp_path, "invariants", {"trajectory": traj_path, "splits": [[1], [2, 3], [1]]})
+        assert code == 2
+        assert capsys.readouterr().err == "config error: split [1] is listed more than once\n"
         assert not (out / "invariants.json").exists()
 
     @pytest.mark.parametrize("scale", [0.5, 0.0])
@@ -1241,6 +1260,16 @@ class TestExample:
                     dx, dy = A * du + C * dv, B * du + D * dv
                     lines.append(",".join(fmt(v) for v in (t, du, dv, dx, dy)))
         assert (out / "disc_snapshots.csv").read_text() == "\n".join(lines) + "\n"
+
+    def test_quadrature_nodes_past_the_cap_fail_at_the_schema(self, tmp_path, capsys, monkeypatch):
+        # 100000 nodes exited 1 with numpy's _ArrayMemoryError (74.5 GiB) from
+        # leggauss; the schema refuses 1025 before any node is built
+        monkeypatch.setattr(cli, "_cost_quadrature", lambda *a: pytest.fail("quadrature was built"))
+        code, out = run(tmp_path, "example", {"example": "heisenberg", "quadrature_nodes": 1025})
+        assert code == 2
+        assert capsys.readouterr().err == "config error: quadrature_nodes: 1025 is greater than the maximum of 1024\n"
+        assert not out.exists()
+        cli._validate_config({"example": "heisenberg", "quadrature_nodes": 1024}, cli._SCHEMAS["example"])
 
     def test_heisenberg_snapshot_outside_the_run_is_a_config_error(self, tmp_path, capsys):
         code, out = run(

@@ -11,7 +11,7 @@ from symvol.cli import _SCHEMAS, _resolve, _schema_error
 
 _KEYWORDS = {
     "type", "required", "properties", "additionalProperties", "items", "minItems",
-    "maxItems", "minimum", "exclusiveMinimum", "enum", "oneOf", "default",
+    "maxItems", "minimum", "maximum", "exclusiveMinimum", "enum", "oneOf", "default",
 }
 
 # a value of any JSON type: the wrong type for most places it lands
@@ -47,6 +47,8 @@ def configs(draw, schema):
         wrong = [_ANY_JSON, st.booleans()]
         if "minimum" in schema:
             wrong.append(st.just(schema["minimum"] - 1))
+        if "maximum" in schema:
+            wrong.append(st.just(schema["maximum"] + 1))
         if "exclusiveMinimum" in schema:
             wrong.append(st.sampled_from([schema["exclusiveMinimum"], -1.0]))
         return draw(st.one_of(wrong))

@@ -374,6 +374,23 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValueError, match="square"):
             load_matrix(path)
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("bad.json", '{"matrix": [[1, 0]\n[0, 1]]}', "Expecting ',' delimiter: line 2 column 1 (char 19)"),
+            ("ragged.csv", "1,0\n0\n", "line 2 has 1 values, expected 2"),
+            ("cell.csv", "1,0\n0,abc\n", "line 2: could not convert string to float: 'abc'"),
+            ("blank.csv", "1,0\n\n0,\n", "line 3: could not convert string to float: ''"),
+        ],
+    )
+    def test_unreadable_file_is_named(self, tmp_path, name, text, message):
+        # numpy's "inhomogeneous shape", float()'s and json's messages named no file
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_matrix(path)
+        assert str(exc.value) == f"{path}: {message}"
+
 
 class TestReportCsv:
     def test_layout(self, tmp_path):

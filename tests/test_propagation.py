@@ -845,8 +845,8 @@ def _assert_linear_rhs_matches(a, b, A, x, exact):
     the linear form's first: Phi' bit for bit; x' equal when the arithmetic
     is exact (a sum that is exactly zero may carry either sign: the per-call
     J negates +0 to -0), and otherwise within the rounding of one length-d
-    dot product (a gradient that calls A @ x gets BLAS's order, which may
-    fuse a multiply-add; the linear form rounds each product A_ij x_j)."""
+    dot product in each (the product's row and the gradient's sums may add
+    in different orders, and BLAS may fuse a multiply-add)."""
     d = x.size
     assert a[d:].tobytes() == b[d:].tobytes()
     if exact:
@@ -856,9 +856,8 @@ def _assert_linear_rhs_matches(a, b, A, x, exact):
 
 
 class TestConstantJacobianKernel:
-    """The linear form of the kernel RHS, one product [x^T; Phi^T] A^T with
-    x' redone as row sums of the rounded products, against the callable
-    form of the same field, (t, x) -> (A x, A)."""
+    """The linear form of the kernel RHS, one product [x^T; Phi^T] A^T,
+    against the callable form of the same field, (t, x) -> (A x, A)."""
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), dyadic=st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -928,31 +927,33 @@ def _quadratic_pair(A, hess_H=None):
             HamiltonianSystem(n, grad, hess, name="general"))
 
 
-def _assert_same_run(a, b, method, x0):
-    """Two runs of one quadratic system, marked and unmarked: rk45 bit for
-    bit; rk4, whose marked run steps by R4(hA) where the unmarked one sums
-    four stages, with the same counters and states and STMs within N steps'
-    rounding.  Both forms give R4(hA) y in exact arithmetic; in floating point
-    each step's results differ by about an ulp of y (the final sum y + h/6 (...)
-    rounds in each, the other terms being h |A| <= 0.1 of it), and on these
-    bounded oscillators the N steps' gaps add up to at most 2 N eps of the
-    state (plus an ulp of the subnormals per step) or of the STM."""
+def _assert_same_run(a, b, x0):
+    """Two runs of one quadratic system, marked and unmarked, under either
+    method: the same counters, and states and STMs within N steps' rounding.
+    Both give the same steps in exact arithmetic; in floating point they round
+    apart.  Under rk4 the marked run steps by R4(hA) where the unmarked one
+    sums four stages: each step's results differ by about an ulp of y (the
+    final sum y + h/6 (...) rounds in each, the other terms being h |A| <= 0.1
+    of it).  Under rk45 each RHS's x' is the product's row in one and the
+    gradient's sums in the other, a dot product's rounding apart, which moves
+    y by h |A| of that and the step size h by a rounding of the error norm.
+    On these bounded oscillators the N steps' gaps add up to at most 2 N eps
+    of the state (plus an ulp of the subnormals per step) or of the STM.
+    Returns the two bounds."""
     assert a.stats == b.stats
-    if method == "rk45":
-        assert a.states.tobytes() == b.states.tobytes()
-        assert a.stms.tobytes() == b.stms.tobytes()
-        return
     n, fi = a.stats.steps, np.finfo(float)
-    bound = 2 * n * fi.eps * np.abs(x0).max() + n * fi.smallest_subnormal
-    assert np.abs(a.states - b.states).max() <= bound
-    assert np.abs(a.stms - b.stms).max() <= 2 * n * fi.eps * max(1.0, np.abs(a.stms).max())
+    state_bound = 2 * n * fi.eps * np.abs(x0).max() + n * fi.smallest_subnormal
+    stm_bound = 2 * n * fi.eps * max(1.0, np.abs(a.stms).max())
+    assert np.abs(a.states - b.states).max() <= state_bound
+    assert np.abs(a.stms - b.stms).max() <= stm_bound
+    return state_bound, stm_bound
 
 
 class TestQuadraticSystem:
     """A system marked quadratic: Hess H is evaluated once per propagate, and
-    the kernel integrates [x | Phi] by the constant J Hess H alone, with the
-    per-call path's bits under rk45 wherever the arithmetic is exact, and
-    under rk4 one product with R4(hA)^T per step."""
+    the kernel integrates [x | Phi] by the constant J Hess H alone, under
+    rk45 one product [x^T; Phi^T] A^T per RHS call and under rk4 one product
+    with R4(hA)^T per step.  Either run is the per-call path's to rounding."""
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), dyadic=st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -971,9 +972,7 @@ class TestQuadraticSystem:
 
     @pytest.mark.parametrize("method", ["rk45", "rk4"])
     def test_propagate_is_the_per_call_path(self, method):
-        # the builtin gradients multiply and add, as the linear form's
-        # rounded products and row sums do, so the couplings need not be
-        # dyadic (0.25 is the benchmark's); rk4 within N steps' rounding
+        # 0.25 is the benchmark's dyadic coupling; 0.3 and -0.5 are not
         settings = IntegratorSettings(method=method, n_steps=400)
         cases = [
             (builtin_system("coupled_oscillators", epsilon=0.3), [0.3, 0.1, -0.2, 0.4]),
@@ -985,10 +984,21 @@ class TestQuadraticSystem:
             general = dataclasses.replace(sys, quadratic=False)
             a = propagate(sys, x0, (0.0, -7.0), settings, samples=9)
             b = propagate(general, x0, (0.0, -7.0), settings, samples=9)
-            _assert_same_run(a, b, method, np.asarray(x0))
-            if method == "rk45":
-                for name in ("residuals", "energy_drift"):
-                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (sys.name, name)
+            state_bound, stm_bound = _assert_same_run(a, b, np.asarray(x0))
+            d, fi = sys.dim, np.finfo(float)
+            # |Phi_a^T J Phi_a - Phi_b^T J Phi_b| <= 2 d stm_bound P; each
+            # residual rounds its d-term sums within d eps of |terms| <= d P^2
+            # (Phi^T J and, near J, the - J are exact)
+            P = max(1.0, np.abs(a.stms).max(), np.abs(b.stms).max())
+            residual_bound = 2 * d * stm_bound * P + 2 * d * d * fi.eps * P**2
+            assert np.abs(a.residuals - b.residuals).max() <= residual_bound, sys.name
+            # H = x^T S x / 2: |H(x_a) - H(x_b)| = |(x_a - x_b)^T S (x_a + x_b)| / 2
+            # <= d state_bound ||S|| X; each H rounds within (d + 2) eps of its
+            # |terms| <= d ||S|| X^2 / 2, and H - H(x0) is exact (Sterbenz)
+            S_norm = np.abs(sys.hessian(PhaseState(np.asarray(x0)))).sum(1).max()
+            X = max(np.abs(a.states).max(), np.abs(b.states).max())
+            drift_bound = d * state_bound * S_norm * X + (d + 2) * d * fi.eps * S_norm * X**2
+            assert np.abs(a.energy_drift - b.energy_drift).max() <= drift_bound, sys.name
 
     @given(
         method=st.sampled_from(["rk45", "rk4"]),
@@ -1004,7 +1014,7 @@ class TestQuadraticSystem:
         x0 = scale * np.random.default_rng(seed).normal(size=4)
         a = propagate(coupled, x0, (0.0, 3.0), settings, samples=4)
         b = propagate(general, x0, (0.0, 3.0), settings, samples=4)
-        _assert_same_run(a, b, method, x0)
+        _assert_same_run(a, b, x0)
 
     def test_hessian_is_evaluated_once_per_run_besides_the_check(self):
         hess = _CountedHessian(np.diag([1.0, 2.0]))
