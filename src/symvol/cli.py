@@ -13,7 +13,10 @@ example     the two case studies (heisenberg | disc) with configured controls
 All commands read a JSON config (schema-validated; unknown keys rejected, and
 so are keys the chosen variant does not read) and write
 deterministic artifacts: JSON reports with sorted keys, CSV series with
-17-significant-digit floats, no timestamps.
+17-significant-digit floats, no timestamps.  A command returns its summary,
+its violations and what it wrote; ``main`` alone prints them (the summary,
+one ``VIOLATION:`` line per violation, then ``wrote ...``) and maps any
+violation to exit 4.
 
 Exit codes: 0 success, 2 config error, 3 integration failure, 4 invariant
 violation (including degenerate density maps), 5 input not symplectic.
@@ -412,8 +415,7 @@ def _make_system(spec):
     return builtin_system(name, **params)
 
 
-def _run_propagation(cfg):
-    system = _make_system(cfg["system"])
+def _run_propagation(system, cfg):
     return propagate(
         system,
         np.asarray(cfg["initial_state"], dtype=float),
@@ -423,7 +425,7 @@ def _run_propagation(cfg):
     )
 
 
-def _resolve_stm(spec, rng) -> np.ndarray:
+def _resolve_stm(spec, seed) -> np.ndarray:
     if isinstance(spec, str):
         M = sio.load_matrix(spec)
     elif "matrix" in spec:
@@ -436,7 +438,7 @@ def _resolve_stm(spec, rng) -> np.ndarray:
         M = stms[k]
     else:
         rs = spec["random_symplectic"]
-        M = random_symplectic(rs["n_pairs"], rng, scale=rs["scale"])
+        M = random_symplectic(rs["n_pairs"], np.random.default_rng(seed), scale=rs["scale"])
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
         raise ConfigError(f"stm must be square and even-dimensional, got shape {M.shape}")
     if not np.isfinite(M).all():
@@ -449,9 +451,9 @@ def _resolve_stm(spec, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def cmd_propagate(cfg, args, outdir: Path) -> int:
+def cmd_propagate(cfg, args, outdir: Path):
     """co-integrate a Hamiltonian system and its STM, write the trajectory"""
-    traj = _run_propagation(cfg)
+    traj = _run_propagation(_make_system(cfg["system"]), cfg)
     base = cfg["output"]
     if args.format == "json":
         path = outdir / f"{base}.json"
@@ -464,22 +466,22 @@ def cmd_propagate(cfg, args, outdir: Path) -> int:
         "n/a" if np.all(np.isnan(drift)) else sio.fmt(float(np.nanmax(np.abs(drift))))
     )
     stats = traj.stats
-    print(
+    summary = (
         f"propagated {traj.system_name} over "
         f"[{sio.fmt(traj.times[0])}, {sio.fmt(traj.times[-1])}]: "
         f"{len(traj)} samples, max symplecticity residual {sio.fmt(traj.max_residual)}, "
         f"max |energy drift| {drift_txt}, "
         f"{stats.steps} steps ({stats.rejected} rejected)"
     )
-    print(f"wrote {path}")
-    return EXIT_OK
+    return summary, [], path
 
 
-def cmd_invariants(cfg, args, outdir: Path) -> int:
+def cmd_invariants(cfg, args, outdir: Path):
     """per-sample subdeterminant tables, bracket sums, split expansion factors /
     collapse angles, Wirtinger margins; nonzero exit on violations"""
-    traj = sio.load_trajectory(cfg["trajectory"]) if "trajectory" in cfg else _run_propagation(cfg)
-    n = traj.n_pairs
+    # the splits are checked against the trajectory, or the system, before any propagation
+    source = sio.load_trajectory(cfg["trajectory"]) if "trajectory" in cfg else _make_system(cfg["system"])
+    n = source.n_pairs
     tol = cfg["tolerance"]
     splits = [tuple(s) for s in cfg["splits"]] or list(pair_subsets(n, proper=True))
     for i, s in enumerate(splits):
@@ -489,6 +491,7 @@ def cmd_invariants(cfg, args, outdir: Path) -> int:
             raise ConfigError(f"split {list(s)} must be sorted and duplicate-free")
         if s in splits[:i]:
             raise ConfigError(f"split {list(s)} is listed more than once")
+    traj = source if "trajectory" in cfg else _run_propagation(source, cfg)
     names = ["+".join(map(str, s)) for s in splits]
 
     # one pass per split over the whole trajectory; found holds (sample, message)
@@ -542,28 +545,23 @@ def cmd_invariants(cfg, args, outdir: Path) -> int:
         "violations": violations,
     }
     base = cfg["output"]
-    sio.write_json(report, outdir / f"{base}.json")
+    path = outdir / f"{base}.json"
+    sio.write_json(report, path)
     sio.invariant_report_to_csv(report, outdir / f"{base}.csv")
 
     col_err = np.max(np.abs(table.column_sums - 1.0))
     row_err = np.max(np.abs(table.row_sums - 1.0))
-    print(
+    summary = (
         f"invariants over {len(traj)} samples, {len(splits)} splits: "
         f"max column-sum error {sio.fmt(col_err)}, max row-sum error {sio.fmt(row_err)}, "
         f"max residual {sio.fmt(traj.max_residual)}"
     )
-    for line in violations:
-        print(f"VIOLATION: {line}")
-    print(f"wrote {outdir / (base + '.json')}")
-    if violations:
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return summary, violations, path
 
 
-def cmd_skeleton(cfg, args, outdir: Path) -> int:
+def cmd_skeleton(cfg, args, outdir: Path):
     """conjugate eigenpair analysis of one STM"""
-    rng = np.random.default_rng(args.seed)
-    Phi = _resolve_stm(cfg["stm"], rng)
+    Phi = _resolve_stm(cfg["stm"], args.seed)
     sk = compute_skeleton(Phi, tol=cfg["tolerance"])
     rep = verify_pairing(sk)
     export = {
@@ -587,10 +585,7 @@ def cmd_skeleton(cfg, args, outdir: Path) -> int:
     path = outdir / f"{base}.json"
     sio.write_json(export, path)
     spectrum = ", ".join(sio.fmt(v) for v in sk.lambdas)
-    print(f"lambda spectrum: {spectrum}")
-    print(f"max pairing residual: {sio.fmt(rep.max_pairing_residual)}")
-    print(f"wrote {path}")
-    return EXIT_OK
+    return f"lambda spectrum: {spectrum}\nmax pairing residual: {sio.fmt(rep.max_pairing_residual)}", [], path
 
 
 def _make_surface(spec):
@@ -606,14 +601,11 @@ def _make_surface(spec):
     return linear_graph_surface(pair, n, coeffs, **kwargs)
 
 
-def cmd_surface(cfg, args, outdir: Path) -> int:
+def cmd_surface(cfg, args, outdir: Path):
     """area, shadow and density-map report for a parameterized surface"""
-    rng = np.random.default_rng(args.seed)
     s = _make_surface(cfg["surface"])
     n = s.n_pairs
-    Phi = (
-        _resolve_stm(cfg["stm"], rng) if "stm" in cfg else np.eye(2 * n)
-    )
+    Phi = _resolve_stm(cfg["stm"], args.seed) if "stm" in cfg else np.eye(2 * n)
     if Phi.shape[0] != 2 * n:
         raise ConfigError(
             f"stm dimension {Phi.shape[0]} does not match surface phase dimension {2 * n}"
@@ -677,16 +669,11 @@ def cmd_surface(cfg, args, outdir: Path) -> int:
     }
     json_path = outdir / f"{base}.json"
     sio.write_json(report, json_path)
-    print(
+    summary = (
         f"surface {s.name}: area {sio.fmt(area)}, mapped area {sio.fmt(mapped_area)}, "
         f"signed shadow {sio.fmt(signed)}, caustic cells {dm.caustic_count}"
     )
-    for line in violations:
-        print(f"VIOLATION: {line}")
-    print(f"wrote {json_path}")
-    if violations:
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return summary, violations, json_path
 
 
 def _control_from_config(spec):
@@ -758,7 +745,7 @@ _SUMMARY_KEYS = ("example", "control", "mu1", "nu1", "alpha1", "alpha_residual",
                  "f_closed", "f_quadrature", "AD_minus_BC_max")
 
 
-def cmd_example(cfg, args, outdir: Path) -> int:
+def cmd_example(cfg, args, outdir: Path):
     """the two case studies (heisenberg | disc) with configured controls"""
     base = cfg["output"]
     snap_path = outdir / f"{base}_snapshots.csv"
@@ -776,9 +763,7 @@ def cmd_example(cfg, args, outdir: Path) -> int:
     printable = {
         k: (sio.fmt(v) if isinstance(v, float) else v) for k, v in summary.items()
     }
-    print(json.dumps(printable, indent=2, sort_keys=True))
-    print(f"wrote {path} and {snap_path}")
-    return EXIT_OK
+    return json.dumps(printable, indent=2, sort_keys=True), [], f"{path} and {snap_path}"
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +815,7 @@ def main(argv=None) -> int:
         cfg = _resolve(cfg, schema, getattr(args, "tol_override", None))
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args, outdir)
+        summary, violations, wrote = _COMMANDS[args.command](cfg, args, outdir)
     except NotSymplecticError as exc:
         print(f"input not symplectic: {exc}", file=sys.stderr)
         return EXIT_NOT_SYMPLECTIC
@@ -843,6 +828,11 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:  # a ConfigError among them
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    print(summary)
+    for line in violations:
+        print(f"VIOLATION: {line}")
+    print(f"wrote {wrote}")
+    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ STMs (files are not trusted on derived quantities).
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -78,6 +79,17 @@ def _constant_columns(a) -> np.ndarray:
     for j in np.flatnonzero(same):
         same[j] = np.all(bits[:, j] == bits[0, j])
     return same
+
+
+@contextlib.contextmanager
+def _csv_rows(path):
+    """A csv.reader over the file path, read as it is iterated; a file that is
+    not UTF-8 fails with a ValueError that starts with the path."""
+    with open(path, newline="") as fh:
+        try:
+            yield csv.reader(fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_floats(reader, path) -> np.ndarray:
@@ -224,8 +236,7 @@ def load_trajectory(path) -> Trajectory:
         # a null energy_drift reads as NaN
         return Trajectory(obj.get("system", "loaded"), *fields, _loaded_stats(obj.get("stats")))
 
-    with open(path, newline="") as fh:
-        rows = csv.reader(fh)
+    with _csv_rows(path) as rows:
         header = next(rows, [])
         # the header has 1 + 2n + 4n^2 + 2 columns for n pairs
         n_pairs = (math.isqrt(max(16 * len(header) - 44, 0)) - 2) // 8
@@ -258,8 +269,8 @@ def load_matrix(path) -> np.ndarray:
         obj = read_json(path)
         M = _float_array(_field(obj, "matrix", path) if isinstance(obj, dict) else obj, f"{path}: matrix")
     else:
-        with open(path, newline="") as fh:
-            M = _read_floats(csv.reader(fh), path)
+        with _csv_rows(path) as rows:
+            M = _read_floats(rows, path)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{path}: expected a square matrix, got shape {M.shape}")
     return M

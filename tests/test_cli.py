@@ -134,6 +134,15 @@ class TestConfigErrors:
         assert code == 2
         assert "lorenz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key", [("skeleton", "stm"), ("invariants", "trajectory")])
+    def test_a_csv_that_is_not_utf8_is_named(self, tmp_path, capsys, command, key):
+        # the codec's message alone named no file (load_matrix, load_trajectory)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfe")
+        assert run(tmp_path, command, {key: str(path)})[0] == 2
+        assert capsys.readouterr().err == (
+            f"config error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
+
     def test_invariants_needs_a_source(self, tmp_path, capsys):
         code, _ = run(tmp_path, "invariants", {"splits": [[1]]})
         assert code == 2
@@ -657,6 +666,27 @@ class TestInvariants:
         assert code == 2
         assert f"split {split} must be sorted and duplicate-free" in capsys.readouterr().err
         assert not (out / "invariants.json").exists()
+
+    @pytest.mark.parametrize("splits, message", [
+        ([[3]], "split [3] out of range for 2 pairs"),
+        ([[2, 1]], "split [2, 1] must be sorted and duplicate-free"),
+        ([[1], [1]], "split [1] is listed more than once"),
+    ])
+    def test_an_inline_bad_split_exits_2_before_propagating(self, tmp_path, capsys, monkeypatch, splits, message):
+        # the whole trajectory used to be propagated before the splits were checked
+        def no_propagation(*args, **kwargs):
+            pytest.fail("propagated before the splits were checked")
+
+        monkeypatch.setattr("symvol.cli.propagate", no_propagation)
+        code, out = run(tmp_path, "invariants", {**_PROPAGATE, "splits": splits})
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(out.iterdir()) == []
+
+    def test_an_inline_system_error_comes_before_a_split_error(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "invariants", {**_PROPAGATE, "system": "lorenz", "splits": [[3]]})
+        assert code == 2
+        assert "lorenz" in capsys.readouterr().err
 
     def test_repeated_split_is_a_config_error(self, tmp_path, capsys):
         # the report's header and columns repeated the split's
@@ -1333,6 +1363,76 @@ class TestExample:
         )
         assert code == 2
         assert "snapshot_times" in capsys.readouterr().err
+
+
+_NUM = r"-?\d[\d.e+-]*"  # a figure that rounding sets
+
+
+def _stdout_fixture(tmp_path, stms):
+    return {"trajectory": fixture_trajectory(tmp_path / "fix.json", stms), "splits": [[1]]}
+
+
+# per case: the subcommand, its config of the test's directory, its exit code and
+# its stdout lines, where {out} is the output directory and {num} a figure that rounding sets
+_STDOUT = {
+    "propagate": ("propagate", lambda d: {
+        "system": "harmonic_oscillator", "initial_state": [1, 0], "t_span": [0, 1], "samples": 3,
+        "integrator": {"method": "rk4", "n_steps": 100}}, 0, [
+        "propagated harmonic_oscillator over [0, 1]: 3 samples, max symplecticity residual {num}, "
+        "max |energy drift| {num}, 100 steps (0 rejected)",
+        "wrote {out}/trajectory.csv"]),
+    "invariants-clean": ("invariants", lambda d: _stdout_fixture(d, [np.eye(4), squeeze_rotate()]), 0, [
+        "invariants over 2 samples, 1 splits: max column-sum error {num}, max row-sum error {num}, "
+        "max residual {num}",
+        "wrote {out}/invariants.json"]),
+    "invariants-violating": ("invariants", lambda d: _stdout_fixture(
+        d, [np.eye(4), np.diag([2.0, 1.0, 1.0, 1.0]), np.diag([1.0, 1.0, 0.5, 1.0])]), 4, [
+        "invariants over 3 samples, 1 splits: max column-sum error 1, max row-sum error 1, max residual 1",
+        "VIOLATION: sample 1 (t=1): column 1 sum deviates by 1",
+        "VIOLATION: sample 1 (t=1): row 1 sum deviates by 1",
+        "VIOLATION: sample 1 (t=1): symplecticity residual 1",
+        "VIOLATION: sample 2 (t=2): column 2 sum deviates by -0.5",
+        "VIOLATION: sample 2 (t=2): row 2 sum deviates by -0.5",
+        "VIOLATION: sample 2 (t=2): symplecticity residual 0.5",
+        "VIOLATION: sample 2 (t=2): split 1: nu_S * nu_Sc = 0.5 below 1 beyond tolerance; "
+        "input map is likely not symplectic",
+        "wrote {out}/invariants.json"]),
+    "skeleton": ("skeleton", lambda d: {"stm": {"matrix": [[2.0, 0.0], [0.0, 0.5]]}}, 0, [
+        "lambda spectrum: 4",
+        "max pairing residual: 0",
+        "wrote {out}/skeleton.json"]),
+    # the pair-1 plane doubled in both directions
+    "surface": ("surface", lambda d: {"surface": _LAMINA, "stm": {"matrix": np.diag([2.0, 2.0, 1.0, 1.0]).tolist()}},
+                4, [
+        "surface lamina_pair1: area 4, mapped area 16, signed shadow 16, caustic cells 0",
+        "VIOLATION: shadow-sum law broken by 3",
+        "wrote {out}/surface.json"]),
+    "example": ("example", lambda d: {"example": "heisenberg"}, 0, [
+        "{",
+        '  "AD_minus_BC_max": null,',
+        '  "alpha1": "0",',
+        '  "alpha_residual": "0",',
+        '  "control": "zero",',
+        '  "example": "heisenberg",',
+        '  "f_closed": "6.6666666666666661",',
+        '  "f_quadrature": "{num}",',
+        '  "mu1": "0",',
+        '  "nu1": "0"',
+        "}",
+        "wrote {out}/heisenberg_summary.json and {out}/heisenberg_snapshots.csv"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STDOUT))
+def test_stdout_is_the_summary_then_each_violation_then_what_was_written(tmp_path, capsys, case):
+    command, config, exit_code, expected = _STDOUT[case]
+    code, out = run(tmp_path, command, config(tmp_path))
+    assert code == exit_code
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(expected), lines
+    for line, pattern in zip(lines, expected):
+        pattern = re.escape(pattern.replace("{out}", str(out))).replace(r"\{num\}", _NUM)
+        assert re.fullmatch(pattern, line), line
 
 
 def test_snapshot_bounds_of_numbers_is_a_config_error(tmp_path, capsys):
